@@ -93,6 +93,26 @@ type Tree struct {
 	// package default then to the automatic policy, 1 forces the serial
 	// sweep, n>1 allows up to n concurrent subtree workers.
 	sweepWorkers int
+	// verified memoizes the stored nodes Verify has proven against the
+	// root register since the stored nodes or the root last changed; a
+	// later Verify stops climbing at the first memoized node on its
+	// path. Every mutation site (Sweep, Tamper, SetHasher, and
+	// SnapshotInto on the destination) drops it.
+	verified map[nodeKey]struct{}
+}
+
+// nodeKey names one stored node for the verified-path memo.
+type nodeKey struct {
+	level int
+	idx   uint64
+}
+
+// forgetVerified drops the verified-path memo. Clearing keeps the map's
+// storage, so the memo costs no allocation at steady state.
+func (t *Tree) forgetVerified() {
+	if len(t.verified) > 0 {
+		clear(t.verified)
+	}
 }
 
 // New builds an empty tree of the given height (number of hash levels
@@ -239,6 +259,7 @@ func (t *Tree) Sweep() int {
 	if len(t.pending) == 0 {
 		return 0
 	}
+	t.forgetVerified() // both sweep paths rewrite stored nodes and the root
 	if w := t.resolveSweepWorkers(); w > 1 {
 		if n, ok := t.sweepParallel(w); ok {
 			return n
@@ -454,21 +475,42 @@ func (t *Tree) hashChildrenInto(h Hasher, buf *[Arity * DigestSize]byte, overlay
 // tampering of the counter line or of stored tree nodes — including
 // consistent tampering of a whole path — is detected because the root
 // register is on-chip.
+//
+// A successful check memoizes the path's stored nodes as proven, and the
+// climb stops at the first node an earlier check already proved: its
+// stored value is the one that was authenticated against the root, and
+// nothing stored has changed since. The leaf-against-counter-line check
+// runs on every call, so the verdict is the one a full climb would give.
 func (t *Tree) Verify(page uint64, counterLine []byte) error {
 	t.Sweep()
-	idx := t.leafIndex(page)
-	if got, want := t.node(0, idx), t.LeafHash(counterLine); got != want {
-		return fmt.Errorf("bmt: leaf %d does not match counter line (stale or tampered counter)", idx)
+	leaf := t.leafIndex(page)
+	if got, want := t.node(0, leaf), t.LeafHash(counterLine); got != want {
+		return fmt.Errorf("bmt: leaf %d does not match counter line (stale or tampered counter)", leaf)
 	}
-	for l := 1; l < t.height; l++ {
+	top, idx := t.height, leaf
+	for l := 0; l < t.height; l++ {
+		if _, ok := t.verified[nodeKey{l, idx}]; ok {
+			top = l
+			break
+		}
+		if l == t.height-1 {
+			if got := t.hashChildren(0, l); got != t.root {
+				return fmt.Errorf("bmt: root register mismatch")
+			}
+			break
+		}
 		parent := idx / Arity
-		if got, want := t.node(l, parent), t.hashChildren(parent, l-1); got != want {
-			return fmt.Errorf("bmt: node mismatch at level %d index %d", l, parent)
+		if got, want := t.node(l+1, parent), t.hashChildren(parent, l); got != want {
+			return fmt.Errorf("bmt: node mismatch at level %d index %d", l+1, parent)
 		}
 		idx = parent
 	}
-	if got := t.hashChildren(0, t.height-1); got != t.root {
-		return fmt.Errorf("bmt: root register mismatch")
+	if t.verified == nil {
+		t.verified = make(map[nodeKey]struct{})
+	}
+	for l, idx := 0, leaf; l < top; l++ {
+		t.verified[nodeKey{l, idx}] = struct{}{}
+		idx /= Arity
 	}
 	return nil
 }
@@ -497,7 +539,10 @@ func (t *Tree) AppendPathNodeIDs(dst []uint64, page uint64) []uint64 {
 // restored from a crash snapshot uses it to hash with its own fresh
 // crypto engine; for the same key the results are identical, so stored
 // nodes, defaults and the root register all remain valid.
-func (t *Tree) SetHasher(h Hasher) { t.h = h }
+func (t *Tree) SetHasher(h Hasher) {
+	t.h = h
+	t.forgetVerified()
+}
 
 // Node returns the stored hash at (level, idx) and whether that node was
 // ever materialized (attack/test primitive: tamper experiments read a
@@ -525,30 +570,44 @@ func (t *Tree) Tamper(level int, idx uint64, newHash Digest) error {
 		return fmt.Errorf("bmt: node (%d,%d) not materialized", level, idx)
 	}
 	*v = newHash
+	t.forgetVerified()
 	return nil
 }
 
 // Snapshot deep-copies the tree (the persisted PM image plus the NV root
 // register at a crash point). Staged updates are committed first: an
 // Update models a persisted walk, so the crash image must contain it.
-func (t *Tree) Snapshot() *Tree {
+func (t *Tree) Snapshot() *Tree { return t.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot into a recycled tree: dst's level pages,
+// staged-line buffers and memo storage are reused, its staged updates
+// and verified-path memo are discarded, and it ends up identical to a
+// fresh Snapshot. A nil dst allocates.
+func (t *Tree) SnapshotInto(dst *Tree) *Tree {
 	t.Sweep()
-	cp := &Tree{
-		h:        t.h,
-		height:   t.height,
-		capacity: t.capacity,
-		defaults: t.defaults,
-		root:     t.root,
-		updates:  t.updates,
+	if dst == nil {
+		dst = &Tree{pending: make(map[uint64][]byte)}
 	}
-	cp.physHashes = t.physHashes
-	cp.sweepWorkers = t.sweepWorkers
-	cp.levels = make([]*ptable.Table[Digest], t.height)
+	for idx, line := range dst.pending {
+		dst.freeLines = append(dst.freeLines, line)
+		delete(dst.pending, idx)
+	}
+	dst.h = t.h
+	dst.height = t.height
+	dst.capacity = t.capacity
+	dst.defaults = t.defaults
+	dst.root = t.root
+	dst.updates = t.updates
+	dst.physHashes = t.physHashes
+	dst.sweepWorkers = t.sweepWorkers
+	if len(dst.levels) != t.height {
+		dst.levels = make([]*ptable.Table[Digest], t.height)
+	}
 	for l := range t.levels {
-		cp.levels[l] = t.levels[l].Clone()
+		dst.levels[l] = t.levels[l].CopyInto(dst.levels[l])
 	}
-	cp.pending = make(map[uint64][]byte)
-	return cp
+	dst.forgetVerified()
+	return dst
 }
 
 // NodesMaterialized returns the number of non-default nodes stored.

@@ -1,0 +1,74 @@
+// Race-detector instrumentation itself allocates, so this pin only
+// holds on uninstrumented builds; ci.sh runs it in the dedicated
+// non-race allocation pass.
+//go:build !race
+
+package crashsim
+
+import (
+	"runtime"
+	"testing"
+
+	"secpb/internal/addr"
+	"secpb/internal/config"
+	"secpb/internal/workload"
+)
+
+// TestCaptureSteadyStateAlloc pins snapshot recycling: after a cell's
+// first crash point, capturing the next one copies into the stores the
+// previous handler returned, so the bytes allocated between one
+// handler's return and the next handler's entry — the capture plus the
+// simulated ops in between — must average below one ptable page
+// (32 KiB). A deep-copying capture allocates several pages per point.
+// The handler runs the standard recovery, so every capture after the
+// first copies into a destination recovery has dirtied.
+func TestCaptureSteadyStateAlloc(t *testing.T) {
+	const pageBytes = 32 << 10
+	for _, wl := range []string{"gcc", "kvstore"} {
+		t.Run(wl, func(t *testing.T) {
+			prof, err := workload.ByName(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := config.Default().WithScheme(config.SchemeCOBCM)
+			cfg.Seed = 41
+			ops, err := workload.Generate(prof, cfg.Seed, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			var left, between uint64
+			points := 0
+			_, err = InjectTraceWith(cfg, prof, []byte("capture-alloc-key"), ops,
+				TraceOptions{Points: 60, Seed: 7},
+				func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+					runtime.ReadMemStats(&ms)
+					if points > 0 {
+						between += ms.TotalAlloc - left
+					}
+					points++
+					res, err := snap.RecoverVerify(golden)
+					if err != nil {
+						return err
+					}
+					if res.Failures > 0 {
+						t.Errorf("point %d: %s", snap.PointIndex, res.FirstBad)
+					}
+					runtime.ReadMemStats(&ms)
+					left = ms.TotalAlloc
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if points < 10 {
+				t.Fatalf("only %d crash points injected", points)
+			}
+			perCapture := between / uint64(points-1)
+			t.Logf("%s: %d B allocated per capture over %d points", wl, perCapture, points-1)
+			if perCapture >= pageBytes {
+				t.Errorf("%d B allocated per capture at steady state, want < %d", perCapture, pageBytes)
+			}
+		})
+	}
+}

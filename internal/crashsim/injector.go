@@ -22,7 +22,11 @@ import (
 // memory-controller latches the battery also sustains). Volatile state —
 // metadata caches, clocks, the core's program view — is deliberately
 // absent. A Snapshot is single-use: RecoverVerify mutates the captured
-// image while draining.
+// image while draining. It is also valid only for the duration of the
+// Handler call that receives it: once the handler returns, the injector
+// recycles the snapshot and its stores (PM image, counter and MAC
+// stores, tree) as the destination of the next capture, so that each
+// capture copies only the present data into pages it already owns.
 type Snapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64 // ordinal among all points fired this run
@@ -41,8 +45,10 @@ type Snapshot struct {
 }
 
 // Handler receives each captured snapshot together with the golden
-// plaintext image for its committed prefix. The golden map is live
-// shadow state: consume it synchronously, do not retain it. Custom
+// plaintext image for its committed prefix. Both are valid only during
+// the call: the golden map is live shadow state, and the snapshot's
+// stores are recycled into the next capture once the handler returns.
+// Consume them synchronously and retain neither. Custom
 // handlers (InjectTraceWith) choose their own recovery procedure —
 // e.g. RecoverVerifyResumable for nested-crash scenarios — and report
 // findings through state they close over; a returned error aborts the
@@ -77,7 +83,8 @@ func (s *indexedSource) Next() (trace.Op, bool) {
 // and verified in place. Capturing in place (rather than halting and
 // replaying) is equivalent to a real crash — recovery operates on deep
 // clones of exactly the state a power failure would leave — and lets one
-// pass service thousands of crash points with O(1) snapshots alive.
+// pass service thousands of crash points with one snapshot alive, whose
+// stores every capture after the first reuses.
 type Injector struct {
 	eng      *engine.Engine
 	cfg      config.Config
@@ -92,6 +99,9 @@ type Injector struct {
 	points  uint64
 	perKind []uint64 // indexed by crashpoint.Kind
 	err     error
+	// snap is the one snapshot handed to the handler, recaptured in
+	// place at every trigger.
+	snap *Snapshot
 }
 
 func newInjector(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, triggers []uint64, h Handler) (*Injector, error) {
@@ -155,14 +165,19 @@ func (in *Injector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
 // acceptance is the point of persistency, and the stat is bumped only
 // after the entry's data is in battery-backed storage, so it is exact at
 // every hook site regardless of which micro-op (backflow drain,
-// watermark drain, sweep) the point interrupts.
+// watermark drain, sweep) the point interrupts. The previous capture's
+// stores, however its handler left them, are the copy destinations.
 func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 	spb := in.eng.SecPB()
 	mc := in.eng.Controller()
 	stores, _ := spb.Stats()
 	committed := int(stores)
 	in.shadow.advanceTo(committed)
-	return &Snapshot{
+	if in.snap == nil {
+		in.snap = &Snapshot{}
+	}
+	snap := in.snap
+	*snap = Snapshot{
 		Kind:       k,
 		PointIndex: i,
 		OpIndex:    in.src.pos,
@@ -171,12 +186,13 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 		InFlight:   spb.InFlightDrain() != nil,
 		cfg:        in.cfg,
 		key:        in.key,
-		pm:         mc.PM().Snapshot(),
-		ctrs:       mc.Counters().Snapshot(),
-		macs:       mc.MACs().Snapshot(),
-		tree:       mc.Tree().Snapshot(),
+		pm:         mc.PM().SnapshotInto(snap.pm),
+		ctrs:       mc.Counters().SnapshotInto(snap.ctrs),
+		macs:       mc.MACs().SnapshotInto(snap.macs),
+		tree:       mc.Tree().SnapshotInto(snap.tree),
 		entries:    spb.SnapshotEntries(),
 	}
+	return snap
 }
 
 // Run executes the trace to completion, firing the sink at every

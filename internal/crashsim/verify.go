@@ -140,18 +140,16 @@ func verifyImage(mc *nvm.Controller, golden map[addr.Block][addr.BlockBytes]byte
 			res.fail(fmt.Sprintf("phantom block %#x persisted but never committed", b.Addr()))
 		}
 	}
-	for _, b := range sortedBlocks(golden) {
+	committed := sortedBlocks(golden)
+	for _, b := range committed {
 		if _, ok := have[b]; !ok {
 			res.fail(fmt.Sprintf("committed block %#x lost after recovery", b.Addr()))
 		}
 	}
 
 	eng := mc.Engine()
-	for _, b := range sortedBlocks(golden) {
-		want, ok := golden[b]
-		if !ok {
-			continue
-		}
+	for _, b := range committed {
+		want := golden[b]
 		res.BlocksChecked++
 		got, _, err := mc.FetchBlock(b)
 		if err != nil {

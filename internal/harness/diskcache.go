@@ -186,7 +186,12 @@ func (s *diskStore[V]) Save(key CellKey, v V) {
 	if err != nil {
 		return
 	}
+	// Sync before the rename: a rename over unsynced data can surface
+	// after a power loss as a complete-looking but empty record.
 	_, werr := tmp.Write(w.buf)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

@@ -72,6 +72,11 @@ func recordOne(dir, name string, gen *workload.Generator) error {
 		tmp.Close()
 		return err
 	}
+	// Durable before the rename publishes it under the trace's name.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}

@@ -141,8 +141,17 @@ func (cs *CounterStore) Pages() int { return cs.lines.Len() }
 
 // Snapshot deep-copies the store (used to model the persisted PM image
 // at a crash point).
-func (cs *CounterStore) Snapshot() *CounterStore {
-	return &CounterStore{lines: cs.lines.Clone(), overflows: cs.overflows}
+func (cs *CounterStore) Snapshot() *CounterStore { return cs.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot into a recycled store, reusing dst's counter
+// pages; a nil dst allocates.
+func (cs *CounterStore) SnapshotInto(dst *CounterStore) *CounterStore {
+	if dst == nil {
+		dst = &CounterStore{}
+	}
+	dst.lines = cs.lines.CopyInto(dst.lines)
+	dst.overflows = cs.overflows
+	return dst
 }
 
 // RangeLines calls fn for every materialized counter line in ascending

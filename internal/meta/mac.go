@@ -61,8 +61,16 @@ func (ms *MACStore) Verify(b addr.Block, want [crypto.MACSize]byte) error {
 func (ms *MACStore) Len() int { return ms.tags.Len() }
 
 // Snapshot deep-copies the store.
-func (ms *MACStore) Snapshot() *MACStore {
-	return &MACStore{tags: ms.tags.Clone()}
+func (ms *MACStore) Snapshot() *MACStore { return ms.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot into a recycled store, reusing dst's tag
+// pages; a nil dst allocates.
+func (ms *MACStore) SnapshotInto(dst *MACStore) *MACStore {
+	if dst == nil {
+		dst = &MACStore{}
+	}
+	dst.tags = ms.tags.CopyInto(dst.tags)
+	return dst
 }
 
 // Tamper flips one bit in a stored tag (attack primitive). It reports an

@@ -266,16 +266,27 @@ func (p *PM) Stats() (reads, writes uint64) { return p.reads, p.writes }
 // live injector's decision stream would make the donor device's future
 // faults depend on what the snapshot's consumer reads. Re-arm with
 // SetFault if the restored device should keep degrading.
-func (p *PM) Snapshot() *PM {
-	cp := NewPM(p.sizeBytes)
-	cp.reads, cp.writes = p.reads, p.writes
-	cp.data = p.data.Clone()
-	if p.remap != nil {
-		cp.remap = p.remap.Clone()
+func (p *PM) Snapshot() *PM { return p.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot into a recycled device: dst's block pages are
+// reused (ptable.Table.CopyInto) and dst ends up identical to a fresh
+// Snapshot, fault injector disarmed. A nil dst allocates.
+func (p *PM) SnapshotInto(dst *PM) *PM {
+	if dst == nil {
+		dst = &PM{}
 	}
-	cp.spares = p.spares
-	cp.badSum = p.badSum
-	return cp
+	dst.sizeBytes = p.sizeBytes
+	dst.reads, dst.writes = p.reads, p.writes
+	dst.data = p.data.CopyInto(dst.data)
+	if p.remap != nil {
+		dst.remap = p.remap.CopyInto(dst.remap)
+	} else {
+		dst.remap = nil
+	}
+	dst.flt = nil
+	dst.spares = p.spares
+	dst.badSum = p.badSum
+	return dst
 }
 
 // Tamper flips one bit of a stored block (attack primitive).

@@ -49,10 +49,27 @@ type page[T any] struct {
 	vals    [pageLen]T
 }
 
+// dropAbsent zeroes the values p holds at slots outside keep and clears
+// their presence bits.
+func (p *page[T]) dropAbsent(keep *[bmWords]uint64) {
+	var zero T
+	for w, word := range p.present {
+		for stale := word &^ keep[w]; stale != 0; stale &= stale - 1 {
+			p.vals[w<<6+bits.TrailingZeros64(stale)] = zero
+		}
+		p.present[w] &= keep[w]
+	}
+}
+
 // Table is the two-level direct-index table. The zero value is not
 // ready; use New.
 type Table[T any] struct {
-	dir      []*page[T]
+	dir []*page[T]
+	// used lists the directory indices of allocated pages in ascending
+	// order, so traversal and copying cost the allocated pages rather
+	// than the directory's span (a footprint at a high address has a
+	// long, almost entirely nil directory).
+	used     []int
 	overflow map[uint64]*T
 	n        int
 }
@@ -111,8 +128,7 @@ func (t *Table[T]) GetOrCreate(key uint64) (v *T, created bool) {
 	}
 	p := t.dir[d]
 	if p == nil {
-		p = new(page[T])
-		t.dir[d] = p
+		p = t.addPage(int(d))
 	}
 	i := key & pageMask
 	if p.present[i>>6]&(1<<(i&63)) != 0 {
@@ -121,6 +137,16 @@ func (t *Table[T]) GetOrCreate(key uint64) (v *T, created bool) {
 	p.present[i>>6] |= 1 << (i & 63)
 	t.n++
 	return &p.vals[i], true
+}
+
+// addPage allocates the page at directory index d, which must be in
+// range and empty.
+func (t *Table[T]) addPage(d int) *page[T] {
+	p := new(page[T])
+	t.dir[d] = p
+	i, _ := slices.BinarySearch(t.used, d)
+	t.used = slices.Insert(t.used, i, d)
+	return p
 }
 
 // Octet returns a view of the eight values covering keys
@@ -156,10 +182,8 @@ func (t *Table[T]) Put(key uint64, v T) {
 // early if fn returns false. Mutating present values through the passed
 // pointer is allowed; creating keys during iteration is not.
 func (t *Table[T]) Range(fn func(key uint64, v *T) bool) {
-	for d, p := range t.dir {
-		if p == nil {
-			continue
-		}
+	for _, d := range t.used {
+		p := t.dir[d]
 		base := uint64(d) << PageBits
 		for w, word := range p.present {
 			for word != 0 {
@@ -197,23 +221,62 @@ func (t *Table[T]) Keys() []uint64 {
 }
 
 // Clone deep-copies the table (values are copied by assignment).
-func (t *Table[T]) Clone() *Table[T] {
-	cp := &Table[T]{n: t.n}
-	if t.dir != nil {
-		cp.dir = make([]*page[T], len(t.dir))
-		for d, p := range t.dir {
-			if p != nil {
-				dup := *p
-				cp.dir[d] = &dup
+func (t *Table[T]) Clone() *Table[T] { return t.CopyInto(nil) }
+
+// CopyInto makes dst a deep copy of t and returns it; a nil dst
+// allocates a fresh table, which is what Clone does. The copy reuses
+// dst's pages: only t's present slots are copied in, and the slots dst
+// held that t does not are zeroed, so a recycled destination costs what
+// the present data costs rather than a page allocation and full page
+// copy per page. Pages dst holds where t has none stay allocated but
+// empty, ready for dst's next GetOrCreate or CopyInto. Afterwards dst
+// is observationally identical to t.Clone(): Len, Lookup, Range, Keys,
+// the values and presence bits of Octet, and a zero value from
+// GetOrCreate of any absent key. Pointers previously obtained from dst
+// now address t's values at the same keys, or zeroed absent slots.
+func (t *Table[T]) CopyInto(dst *Table[T]) *Table[T] {
+	if dst == nil {
+		dst = &Table[T]{}
+	}
+	if len(dst.dir) < len(t.dir) {
+		dst.dir = append(dst.dir, make([]*page[T], len(t.dir)-len(dst.dir))...)
+	}
+	var none [bmWords]uint64
+	for _, d := range dst.used {
+		if d >= len(t.dir) || t.dir[d] == nil {
+			dst.dir[d].dropAbsent(&none)
+		}
+	}
+	for _, d := range t.used {
+		sp, dp := t.dir[d], dst.dir[d]
+		if dp == nil {
+			dp = dst.addPage(d)
+		}
+		dp.dropAbsent(&sp.present)
+		for w, word := range sp.present {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				dp.vals[i] = sp.vals[i]
 			}
 		}
+		dp.present = sp.present
 	}
-	if len(t.overflow) > 0 {
-		cp.overflow = make(map[uint64]*T, len(t.overflow))
-		for k, v := range t.overflow {
-			dup := *v
-			cp.overflow[k] = &dup
+	for k := range dst.overflow {
+		if _, ok := t.overflow[k]; !ok {
+			delete(dst.overflow, k)
 		}
 	}
-	return cp
+	for k, v := range t.overflow {
+		if p, ok := dst.overflow[k]; ok {
+			*p = *v
+			continue
+		}
+		if dst.overflow == nil {
+			dst.overflow = make(map[uint64]*T, len(t.overflow))
+		}
+		dup := *v
+		dst.overflow[k] = &dup
+	}
+	dst.n = t.n
+	return dst
 }

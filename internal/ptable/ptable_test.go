@@ -2,6 +2,7 @@ package ptable
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -106,6 +107,99 @@ func TestTableVsMapDifferential(t *testing.T) {
 	}
 }
 
+// assertSameTable checks got against want through every observation
+// the table offers: Len, Keys, Range (keys, order and values), Lookup
+// of each key, and the values and presence bits of every Octet that
+// covers a present key or one of the probe keys.
+func assertSameTable(t *testing.T, got, want *Table[uint64], probes []uint64) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	}
+	gk, wk := got.Keys(), want.Keys()
+	if !slices.Equal(gk, wk) {
+		t.Fatalf("Keys = %v, want %v", gk, wk)
+	}
+	var gr, wr []uint64
+	got.Range(func(k uint64, v *uint64) bool { gr = append(gr, k, *v); return true })
+	want.Range(func(k uint64, v *uint64) bool { wr = append(wr, k, *v); return true })
+	if !slices.Equal(gr, wr) {
+		t.Fatalf("Range = %v, want %v", gr, wr)
+	}
+	for _, k := range append(wk, probes...) {
+		g, w := got.Lookup(k), want.Lookup(k)
+		if (g == nil) != (w == nil) || (g != nil && *g != *w) {
+			t.Fatalf("Lookup(%d) differs", k)
+		}
+		gv, gp, gok := got.Octet(k &^ 7)
+		wv, wp, wok := want.Octet(k &^ 7)
+		if gp != wp || gok != wok {
+			t.Fatalf("Octet(%d) presence %08b/%v, want %08b/%v", k&^7, gp, gok, wp, wok)
+		}
+		for i := 0; i < 8; i++ {
+			var g, w uint64 // an unallocated page reads as zeros
+			if gv != nil {
+				g = gv[i]
+			}
+			if wv != nil {
+				w = wv[i]
+			}
+			if g != w {
+				t.Fatalf("Octet(%d)[%d] = %d, want %d", k&^7, i, g, w)
+			}
+		}
+	}
+}
+
+// TestCopyIntoDirtyDestination copies into a destination that holds
+// more pages than the source, stale present slots inside the source's
+// pages, and overflow keys past maxDirect: the result must be
+// indistinguishable from a fresh Clone, and every stale key must come
+// back absent and then zero from GetOrCreate.
+func TestCopyIntoDirtyDestination(t *testing.T) {
+	src := New[uint64]()
+	for _, k := range []uint64{1, 2, 9, 600, 4095, maxDirect + 5} {
+		src.Put(k, k*10+1)
+	}
+	dst := New[uint64]()
+	stale := []uint64{
+		3, 8, 63, 64, 511, // stale slots in a page the source also holds
+		5000, 1 << 20, // pages only the destination holds, one past src's directory
+		maxDirect + 6, maxDirect + 1<<40, // overflow keys the source lacks
+	}
+	for _, k := range stale {
+		dst.Put(k, ^k)
+	}
+	dst.Put(2, 777)            // shared key, different value
+	dst.Put(maxDirect+5, 4242) // shared overflow key, different value
+
+	got := src.CopyInto(dst)
+	if got != dst {
+		t.Fatal("CopyInto did not return its destination")
+	}
+	assertSameTable(t, dst, src.Clone(), stale)
+	for _, k := range stale {
+		if dst.Lookup(k) != nil {
+			t.Fatalf("stale key %d still present", k)
+		}
+		p, created := dst.GetOrCreate(k)
+		if !created || *p != 0 {
+			t.Fatalf("GetOrCreate(stale %d) = %d created=%v, want fresh zero", k, *p, created)
+		}
+	}
+	// The copy is deep both ways.
+	*dst.Lookup(9) = 0
+	if *src.Lookup(9) != 91 {
+		t.Fatal("writing through the copy changed the source")
+	}
+	// Copying back into the (now larger) source and into itself.
+	assertSameTable(t, dst.Clone().CopyInto(src), dst, stale)
+	if src.CopyInto(src) != src {
+		t.Fatal("CopyInto(self) must be a no-op returning the table")
+	}
+	assertSameTable(t, src, dst, stale)
+}
+
 func TestTableRangeEarlyStop(t *testing.T) {
 	tab := New[int]()
 	for i := uint64(0); i < 100; i++ {
@@ -140,15 +234,16 @@ func TestTablePointerStability(t *testing.T) {
 func FuzzTableVsMap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 128, 9, 1, 7})
+	f.Add([]byte{0, 1, 2, 0, 200, 40, 3, 1, 2, 1, 7, 7, 3, 200, 40, 2, 1, 2, 1, 200, 40})
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		tab := New[uint16]()
+		tab, spare := New[uint16](), New[uint16]()
 		ref := map[uint64]uint16{}
 		for i := 0; i+3 <= len(tape); i += 3 {
 			op, k0, k1 := tape[i], tape[i+1], tape[i+2]
 			// Spread 16 bits of key material across the interesting
 			// ranges: in-page, cross-page, and past maxDirect.
 			k := uint64(k0)<<uint(k1%56) | uint64(k1)
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
 				tab.Put(k, uint16(k0)<<8|uint16(k1))
 				ref[k] = uint16(k0)<<8 | uint16(k1)
@@ -156,6 +251,9 @@ func FuzzTableVsMap(f *testing.F) {
 				p, created := tab.GetOrCreate(k)
 				if _, ok := ref[k]; created == ok {
 					t.Fatalf("GetOrCreate(%d): created=%v, ref has=%v", k, created, ok)
+				}
+				if created && *p != 0 {
+					t.Fatalf("GetOrCreate(%d) created a nonzero value %d", k, *p)
 				}
 				*p = uint16(op)
 				ref[k] = uint16(op)
@@ -165,6 +263,12 @@ func FuzzTableVsMap(f *testing.F) {
 				if (p != nil) != ok || (ok && *p != want) {
 					t.Fatalf("Lookup(%d) mismatch", k)
 				}
+			case 3:
+				// Continue on a copy: into the spare, which holds the
+				// table as it was at the previous copy (stale keys,
+				// extra pages) plus one key of its own.
+				spare.Put(k, uint16(op))
+				tab, spare = tab.CopyInto(spare), tab
 			}
 		}
 		if tab.Len() != len(ref) {

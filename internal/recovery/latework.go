@@ -28,13 +28,18 @@ type Journal struct {
 	entries   []core.Entry
 	done      int
 	sweepDone bool
-	sum       uint64
+	// entrySum is the digest of the entries as captured. Entries never
+	// change after capture, so it is computed once and every reseal
+	// folds only the cursor and sweep flag into it.
+	entrySum uint64
+	sum      uint64
 }
 
 // NewJournal captures the entries (copied; the caller's slice is not
 // retained) and seals the initial checksum.
 func NewJournal(entries []core.Entry) *Journal {
 	j := &Journal{entries: append([]core.Entry(nil), entries...)}
+	j.entrySum = hashEntries(fnvOffset, j.entries)
 	j.seal()
 	return j
 }
@@ -52,37 +57,31 @@ func (j *Journal) Remaining() int { return len(j.entries) - j.done }
 // sweep committed.
 func (j *Journal) Complete() bool { return j.done == len(j.entries) && j.sweepDone }
 
-// checksum hashes the journal contents: cursor, sweep flag, and every
-// entry's identity and payload (block, data, coalescing metadata, and
-// the prepared-tuple fields with their valid bits).
-func (j *Journal) checksum() uint64 {
-	h := fnvOffset
-	var buf [8]byte
-	u64 := func(v uint64) {
-		putU64(buf[:], v)
-		h = fnvAdd(h, buf[:])
-	}
-	u64(uint64(j.done))
-	if j.sweepDone {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	u64(uint64(len(j.entries)))
-	for i := range j.entries {
-		e := &j.entries[i]
-		u64(e.Block.Addr())
+// checksum folds the cursor and sweep flag into an entry digest.
+func (j *Journal) checksum(entrySum uint64) uint64 {
+	h := fnvU64(entrySum, uint64(j.done))
+	return fnvU64(h, boolBits(j.sweepDone))
+}
+
+// hashEntries extends h over the entry count and every entry's identity
+// and payload: block, data, coalescing metadata, and the prepared-tuple
+// fields with their valid bits.
+func hashEntries(h uint64, entries []core.Entry) uint64 {
+	h = fnvU64(h, uint64(len(entries)))
+	for i := range entries {
+		e := &entries[i]
+		h = fnvU64(h, e.Block.Addr())
 		h = fnvAdd(h, e.Data[:])
-		u64(uint64(e.ASID))
-		u64(uint64(e.Writes))
-		u64(e.Seq)
+		h = fnvU64(h, uint64(e.ASID))
+		h = fnvU64(h, uint64(e.Writes))
+		h = fnvU64(h, e.Seq)
 		m := &e.Ext
-		u64(boolBits(m.OTPValid) | boolBits(m.CipherValid)<<1 | boolBits(m.CounterValid)<<2 |
-			boolBits(m.BMTDone)<<3 | boolBits(m.MACValid)<<4)
+		h = fnvU64(h, boolBits(m.OTPValid)|boolBits(m.CipherValid)<<1|boolBits(m.CounterValid)<<2|
+			boolBits(m.BMTDone)<<3|boolBits(m.MACValid)<<4)
 		h = fnvAdd(h, m.OTP[:])
 		h = fnvAdd(h, m.Cipher[:])
-		u64(m.Counter)
-		u64(uint64(m.CounterAdvance))
+		h = fnvU64(h, m.Counter)
+		h = fnvU64(h, uint64(m.CounterAdvance))
 		h = fnvAdd(h, m.MAC[:])
 	}
 	return h
@@ -110,19 +109,25 @@ func fnvAdd(h uint64, p []byte) uint64 {
 	return h
 }
 
-func putU64(dst []byte, v uint64) {
+// fnvU64 extends h over v's eight little-endian bytes.
+func fnvU64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		dst[i] = byte(v >> (8 * i))
+		h ^= uint64(byte(v >> (8 * i)))
+		h *= fnvPrime
 	}
+	return h
 }
 
-// seal re-signs the journal after a durable update.
-func (j *Journal) seal() { j.sum = j.checksum() }
+// seal re-signs the journal after a durable update: an O(1) fold of the
+// cursor into the capture-time entry digest. Entries damaged after
+// capture are therefore never re-signed.
+func (j *Journal) seal() { j.sum = j.checksum(j.entrySum) }
 
-// Validate checks the journal against its checksum, returning a typed
-// *nvm.CorruptStateError on mismatch.
+// Validate recomputes the checksum from the entries themselves and
+// checks it against the seal, returning a typed *nvm.CorruptStateError
+// on mismatch.
 func (j *Journal) Validate() error {
-	if got := j.checksum(); got != j.sum {
+	if got := j.checksum(hashEntries(fnvOffset, j.entries)); got != j.sum {
 		return &nvm.CorruptStateError{
 			Component: "late-work journal",
 			Detail: fmt.Sprintf("checksum %#x does not match stored %#x over %d entries (cursor %d)",

@@ -164,3 +164,43 @@ func TestDrainRejectsTamperedJournal(t *testing.T) {
 		t.Error("corrupt journal still wrote to PM")
 	}
 }
+
+// TestResumeRejectsJournalTamperedAfterNestedCrash damages the journal
+// between a budgeted boot that died mid-drain and the boot that would
+// resume it: the resume must be refused with a typed error before it
+// writes anything to PM. A reseal after the damage (the cursor advance
+// of a drain that was already running) must not re-sign it either.
+func TestResumeRejectsJournalTamperedAfterNestedCrash(t *testing.T) {
+	mc, entries := pendingImage(t, config.SchemeCOBCM)
+	cfg := mc.Config()
+	perJ, err := energy.PerEntryDrainJ(cfg.Scheme, cfg.BMTLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(entries)
+	_, derr := DrainEntriesBudget(mc, j, energy.NewBudget(1.5*perJ))
+	if !errors.Is(derr, ErrBatteryExhausted) {
+		t.Fatalf("one-entry budget did not exhaust: %v", derr)
+	}
+	if j.Done() == 0 || j.Complete() {
+		t.Fatalf("nested crash left cursor %d of %d", j.Done(), j.Len())
+	}
+	if err := j.Tamper(); err != nil {
+		t.Fatal(err)
+	}
+	j.seal()
+
+	_, writesBefore := mc.PM().Stats()
+	done := j.Done()
+	_, err = DrainEntriesBudget(mc, j, nil)
+	var corrupt *nvm.CorruptStateError
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("resume drained a tampered journal: err=%v", err)
+	}
+	if _, writesAfter := mc.PM().Stats(); writesAfter != writesBefore {
+		t.Error("resume of a corrupt journal wrote to PM")
+	}
+	if j.Done() != done {
+		t.Errorf("refused resume moved the cursor %d -> %d", done, j.Done())
+	}
+}

@@ -30,9 +30,10 @@ type CoreEntries struct {
 // a typed *nvm.CorruptStateError before it can drain a single entry out
 // of turn: the replay discipline is data, not convention.
 type SystemJournal struct {
-	parts  []CoreEntries // entries copied; callers' slices not retained
-	cursor int           // next canonical position to drain
-	sum    uint64
+	parts   []CoreEntries // entries copied; callers' slices not retained
+	cursor  int           // next canonical position to drain
+	partSum uint64        // digest of the parts as captured (see Journal.entrySum)
+	sum     uint64
 }
 
 // NewSystemJournal captures the parts in canonical order and seals the
@@ -46,6 +47,7 @@ func NewSystemJournal(parts []CoreEntries) *SystemJournal {
 			Entries: append([]core.Entry(nil), p.Entries...),
 		}
 	}
+	j.partSum = hashParts(j.parts)
 	j.seal()
 	return j
 }
@@ -59,47 +61,27 @@ func (j *SystemJournal) Drained() int { return j.cursor }
 // Complete reports whether every part drained.
 func (j *SystemJournal) Complete() bool { return j.cursor == len(j.parts) }
 
-// checksum hashes the cursor and the canonical part sequence. The
-// per-entry fields reuse the single-core late-work journal's hashing so
-// an entry swap between parts is as detectable as a part swap.
-func (j *SystemJournal) checksum() uint64 {
-	h := fnvOffset
-	var buf [8]byte
-	u64 := func(v uint64) {
-		putU64(buf[:], v)
-		h = fnvAdd(h, buf[:])
-	}
-	u64(uint64(j.cursor))
-	u64(uint64(len(j.parts)))
-	for i := range j.parts {
-		p := &j.parts[i]
-		u64(uint64(p.Core))
-		u64(uint64(len(p.Entries)))
-		for k := range p.Entries {
-			e := &p.Entries[k]
-			u64(e.Block.Addr())
-			h = fnvAdd(h, e.Data[:])
-			u64(uint64(e.ASID))
-			u64(uint64(e.Writes))
-			u64(e.Seq)
-			m := &e.Ext
-			u64(boolBits(m.OTPValid) | boolBits(m.CipherValid)<<1 | boolBits(m.CounterValid)<<2 |
-				boolBits(m.BMTDone)<<3 | boolBits(m.MACValid)<<4)
-			h = fnvAdd(h, m.OTP[:])
-			h = fnvAdd(h, m.Cipher[:])
-			u64(m.Counter)
-			u64(uint64(m.CounterAdvance))
-			h = fnvAdd(h, m.MAC[:])
-		}
+// hashParts digests the canonical part sequence: each part's core id
+// and entries. The per-entry fields reuse the single-core late-work
+// journal's hashing so an entry swap between parts is as detectable as
+// a part swap.
+func hashParts(parts []CoreEntries) uint64 {
+	h := fnvU64(fnvOffset, uint64(len(parts)))
+	for i := range parts {
+		h = fnvU64(h, uint64(parts[i].Core))
+		h = hashEntries(h, parts[i].Entries)
 	}
 	return h
 }
 
-func (j *SystemJournal) seal() { j.sum = j.checksum() }
+// seal re-signs the journal after a cursor advance, folding only the
+// cursor into the capture-time part digest.
+func (j *SystemJournal) seal() { j.sum = fnvU64(j.partSum, uint64(j.cursor)) }
 
-// Validate checks the journal against its seal.
+// Validate recomputes the checksum from the parts and checks it against
+// the seal.
 func (j *SystemJournal) Validate() error {
-	if got := j.checksum(); got != j.sum {
+	if got := fnvU64(hashParts(j.parts), uint64(j.cursor)); got != j.sum {
 		return &nvm.CorruptStateError{
 			Component: "cross-core drain journal",
 			Detail: fmt.Sprintf("checksum %#x does not match stored %#x over %d parts (cursor %d)",

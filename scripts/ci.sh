@@ -19,10 +19,12 @@ fi
 
 go test -race ./...
 
-# Exact-zero allocation pins for the kernel hot paths. These carry a
-# !race build tag — race instrumentation allocates on its own — so they
-# need this uninstrumented pass to run at all.
-go test -run 'ZeroAlloc' . ./internal/crypto/ ./internal/nvm/
+# Exact-zero allocation pins for the kernel hot paths, plus the
+# crash-point capture's steady-state bound (snapshot stores recycle, so
+# a capture allocates less than one table page). These carry a !race
+# build tag — race instrumentation allocates on its own — so they need
+# this uninstrumented pass to run at all.
+go test -run 'ZeroAlloc|CaptureSteadyStateAlloc' . ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/
 
 # Benchmarks must at least compile and run one iteration: the perf
 # report scripts depend on them, and a bench-only regression would
@@ -143,6 +145,14 @@ if ! diff -q "$tmp/crash-matrix.json" "$tmp/crash-matrix-nokern.json"; then
     exit 1
 fi
 echo "crash matrix identical with and without specialized kernels"
+# ... and identical to the checked-in golden: snapshot recycling, the
+# verified-path memo and journal resealing are wall-clock strategies and
+# may not move a single injected point, drained entry or checked block.
+if ! diff -q results/crash-matrix-seed42.json "$tmp/crash-matrix.json"; then
+    echo "ERROR: crash matrix differs from results/crash-matrix-seed42.json" >&2
+    exit 1
+fi
+echo "crash matrix identical to the checked-in seed-42 golden"
 
 # Degraded-mode smoke: the fixed-seed fault sweep (six schemes across
 # clean / torn-write / bit-rot media) plus the nested battery-exhaustion
