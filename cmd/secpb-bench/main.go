@@ -22,9 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"secpb/internal/bmt"
 	"secpb/internal/config"
-	"secpb/internal/crypto"
 	"secpb/internal/engine"
 	"secpb/internal/harness"
 	"secpb/internal/runner"
@@ -66,8 +64,6 @@ func benchMain() int {
 		benches  = flag.String("bench", "", "comma list of benchmarks (default: all 18)")
 		entries  = flag.Int("secpb", 32, "SecPB entries for the default configuration")
 		parallel = flag.Int("parallel", 0, "simulation workers (0 = one per CPU core, 1 = serial); output is identical at any value")
-		lanes    = flag.Int("lanes", 0, "pin the MAC hash lane width (0 = auto, 1 = scalar, 2/4 = interleaved); output is identical at any width")
-		sweepW   = flag.Int("sweepworkers", 0, "pin the BMT sweep worker count (0 = auto, 1 = serial); output is identical at any count")
 		cores    = flag.String("cores", "", "comma list of core counts for the multicore battery grid (default 1,8,64,256); cores=1 artifacts are byte-identical to the single-core path")
 		memo     = flag.Bool("memo", true, "cache simulation cells by content so overlapping experiment grids simulate each unique (config, benchmark, ops) cell once; output is identical either way")
 		memodir  = flag.String("memodir", "", "persist the cell cache in this directory: warm re-runs replay cached cells instead of simulating (records are content-keyed, version-stamped and checksummed; anything stale or corrupt is recomputed); output is identical either way")
@@ -111,10 +107,6 @@ func benchMain() int {
 		}()
 	}
 
-	// Reproducibility pins for the parallel data plane: both knobs steer
-	// wall-clock strategy only — artifacts are identical at any setting.
-	crypto.SetDefaultLanes(*lanes)
-	bmt.SetDefaultSweepWorkers(*sweepW)
 	engine.SetDefaultKernels(*kernels)
 
 	gridCores, err := parseCores(*cores)
@@ -313,8 +305,6 @@ func benchMain() int {
 		report := map[string]interface{}{
 			"ops":           *ops,
 			"parallelism":   workers,
-			"mac_lanes":     crypto.DefaultLanes(),
-			"sweep_workers": bmt.DefaultSweepWorkers(),
 			"cores":         gridCores,
 			"experiments_s": timings,
 			"total_s":       time.Since(startAll).Seconds(),

@@ -12,15 +12,11 @@
 package bmt
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"secpb/internal/crypto"
 	"secpb/internal/ptable"
-	"secpb/internal/runner"
 )
 
 // Arity is the tree fan-out: eight 8-byte child digests pack one 64B
@@ -89,10 +85,6 @@ type Tree struct {
 	// a stack array would escape through the Hasher interface call and
 	// cost one heap allocation per node hash on the drain path.
 	nodeBuf [Arity * DigestSize]byte
-	// sweepWorkers pins this tree's sweep parallelism: 0 defers to the
-	// package default then to the automatic policy, 1 forces the serial
-	// sweep, n>1 allows up to n concurrent subtree workers.
-	sweepWorkers int
 	// verified memoizes the stored nodes Verify has proven against the
 	// root register since the stored nodes or the root last changed; a
 	// later Verify stops climbing at the first memoized node on its
@@ -259,12 +251,7 @@ func (t *Tree) Sweep() int {
 	if len(t.pending) == 0 {
 		return 0
 	}
-	t.forgetVerified() // both sweep paths rewrite stored nodes and the root
-	if w := t.resolveSweepWorkers(); w > 1 {
-		if n, ok := t.sweepParallel(w); ok {
-			return n
-		}
-	}
+	t.forgetVerified() // the sweep rewrites stored nodes and the root
 	n := 0
 	idxs := t.sweepIdx[:0]
 	for idx, line := range t.pending {
@@ -288,185 +275,6 @@ func (t *Tree) Sweep() int {
 	t.sweepIdx = idxs[:0]
 	t.physHashes += uint64(n)
 	return n
-}
-
-// defaultSweepWorkers is the package-wide sweep-parallelism policy for
-// trees that do not pin their own width, settable by tooling (the
-// secpb-bench -parallel flag and the identity tests): 0 auto, 1 serial,
-// n>1 that many subtree workers.
-var defaultSweepWorkers atomic.Int32
-
-// SetDefaultSweepWorkers sets the package-default sweep parallelism for
-// trees that do not pin their own (same encoding as SetSweepWorkers).
-func SetDefaultSweepWorkers(n int) { defaultSweepWorkers.Store(int32(n)) }
-
-// DefaultSweepWorkers returns the package-default sweep parallelism.
-func DefaultSweepWorkers() int { return int(defaultSweepWorkers.Load()) }
-
-// SetSweepWorkers pins this tree's sweep parallelism, overriding the
-// package default: 0 restores the automatic choice, 1 forces the serial
-// sweep, n>1 allows up to n concurrent subtree workers.
-func (t *Tree) SetSweepWorkers(n int) { t.sweepWorkers = n }
-
-// parallelSweepMinLeaves is the automatic policy's floor: below this
-// many dirty leaves the per-sweep partition and join overhead exceeds
-// what eight-way hashing saves.
-const parallelSweepMinLeaves = 64
-
-// resolveSweepWorkers resolves the effective sweep width for the
-// current pending set. Auto engages only when the process actually has
-// parallel hardware and the dirty set is wide enough to amortize the
-// fork/join; a pinned width is honored regardless (the identity tests
-// force the parallel path on single-CPU hosts this way).
-func (t *Tree) resolveSweepWorkers() int {
-	n := t.sweepWorkers
-	if n == 0 {
-		n = DefaultSweepWorkers()
-	}
-	if n == 0 {
-		if runtime.GOMAXPROCS(0) <= 1 || len(t.pending) < parallelSweepMinLeaves {
-			return 1
-		}
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > Arity {
-		// Subtree partitioning fans out over the root's children, so
-		// more than Arity workers never get work.
-		n = Arity
-	}
-	return n
-}
-
-// cloneHasher asks the hasher for an independent clone for a sweep
-// worker. The crypto engine satisfies this through an untyped method
-// (CloneHasher) discovered by interface assertion, so this package
-// needs no dependency on the engine's concrete type.
-func cloneHasher(h Hasher) (Hasher, bool) {
-	c, ok := h.(interface{ CloneHasher() any })
-	if !ok {
-		return nil, false
-	}
-	h2, ok := c.CloneHasher().(Hasher)
-	return h2, ok
-}
-
-// nodeWrite is one digest computed by a sweep worker, recorded in the
-// worker's deterministic processing order and merged serially.
-type nodeWrite struct {
-	level int
-	idx   uint64
-	d     Digest
-}
-
-// sweepParallel commits the staged leaves with concurrent per-subtree
-// workers. The dirty-leaf set is partitioned by the root's children:
-// a leaf's whole update path below the root stays inside its top-level
-// subtree, so the partitions touch disjoint node sets and every worker
-// hashes its subtree bottom-up exactly as the serial sweep would.
-// Workers read the shared tables (frozen during the sweep) plus a
-// private overlay of their own writes; the writes merge serially after
-// the join, in ascending subtree order, and the root is rehashed once
-// at the end. Both the stored digests and the PhysicalHashes() count
-// are identical to the serial sweep's: the same node set is recomputed
-// from the same final child values, in a different order.
-//
-// Returns ok=false — leaving the pending set untouched — when the
-// partition is degenerate (fewer than two dirty subtrees) or the
-// hasher cannot clone; the caller then runs the serial sweep.
-func (t *Tree) sweepParallel(workers int) (int, bool) {
-	if _, ok := cloneHasher(t.h); !ok {
-		return 0, false
-	}
-	div := t.capacity / Arity
-	var parts [Arity][]uint64
-	for idx := range t.pending {
-		parts[idx/div] = append(parts[idx/div], idx)
-	}
-	tasks := make([][]uint64, 0, Arity)
-	for s := range parts {
-		if len(parts[s]) > 0 {
-			slices.Sort(parts[s])
-			tasks = append(tasks, parts[s])
-		}
-	}
-	if len(tasks) < 2 {
-		return 0, false
-	}
-	type result struct {
-		writes []nodeWrite
-		n      int
-	}
-	results, err := runner.Map(context.Background(), workers, tasks,
-		func(_ context.Context, _ int, leaves []uint64) (result, error) {
-			h, ok := cloneHasher(t.h)
-			if !ok {
-				return result{}, fmt.Errorf("bmt: hasher clone unavailable")
-			}
-			var buf [Arity * DigestSize]byte
-			overlay := make([]map[uint64]Digest, t.height)
-			for i := range overlay {
-				overlay[i] = make(map[uint64]Digest)
-			}
-			res := result{writes: make([]nodeWrite, 0, 2*len(leaves))}
-			idxs := make([]uint64, 0, len(leaves))
-			for _, idx := range leaves {
-				d := truncate(h.HashNode(t.pending[idx]))
-				overlay[0][idx] = d
-				res.writes = append(res.writes, nodeWrite{0, idx, d})
-				res.n++
-				idxs = append(idxs, idx/Arity)
-			}
-			for l := 1; l < t.height; l++ {
-				// Sorted leaves keep the parent stream nondecreasing,
-				// so compaction needs no re-sort.
-				idxs = slices.Compact(idxs)
-				for i, parent := range idxs {
-					d := t.hashChildrenInto(h, &buf, overlay[l-1], parent, l-1)
-					overlay[l][parent] = d
-					res.writes = append(res.writes, nodeWrite{l, parent, d})
-					res.n++
-					idxs[i] = parent / Arity
-				}
-			}
-			return res, nil
-		})
-	if err != nil {
-		return 0, false
-	}
-	n := 0
-	for _, r := range results {
-		for _, w := range r.writes {
-			t.levels[w.level].Put(w.idx, w.d)
-		}
-		n += r.n
-	}
-	for idx, line := range t.pending {
-		t.freeLines = append(t.freeLines, line)
-		delete(t.pending, idx)
-	}
-	t.root = t.hashChildren(0, t.height-1)
-	n++
-	t.physHashes += uint64(n)
-	return n, true
-}
-
-// hashChildrenInto is hashChildren for a sweep worker: private hasher
-// and concatenation buffer, child lookups consult the worker's overlay
-// of this sweep's writes before the shared (frozen) level table.
-func (t *Tree) hashChildrenInto(h Hasher, buf *[Arity * DigestSize]byte, overlay map[uint64]Digest, parentIdx uint64, childLevel int) Digest {
-	for i := uint64(0); i < Arity; i++ {
-		child := parentIdx*Arity + i
-		c, ok := overlay[child]
-		if !ok {
-			if v := t.levels[childLevel].Lookup(child); v != nil {
-				c = *v
-			} else {
-				c = t.defaults[childLevel]
-			}
-		}
-		copy(buf[i*DigestSize:], c[:])
-	}
-	return truncate(h.HashNode(buf[:]))
 }
 
 // Verify checks the counter line against the tree: the stored leaf must
@@ -599,7 +407,6 @@ func (t *Tree) SnapshotInto(dst *Tree) *Tree {
 	dst.root = t.root
 	dst.updates = t.updates
 	dst.physHashes = t.physHashes
-	dst.sweepWorkers = t.sweepWorkers
 	if len(dst.levels) != t.height {
 		dst.levels = make([]*ptable.Table[Digest], t.height)
 	}

@@ -239,18 +239,31 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 	bat, _ := newTestTree(t, 5)
 	// Deterministic pseudo-random stream with duplicates and leaf-space
 	// wraparound (pages beyond capacity alias onto leaves mod capacity).
+	// The last round is wide: 96 leaves dealt round-robin over every
+	// top-level subtree, the dirty-set shape of a drain-heavy sweep.
 	rng := uint64(0x9E3779B97F4A7C15)
-	const rounds, perBatch = 20, 37
-	for r := 0; r < rounds; r++ {
-		pages := make([]uint64, perBatch)
-		lines := make(map[uint64][]byte, perBatch)
+	const rounds, perBatch, wide = 20, 37, 96
+	sub := seq.Capacity() / Arity
+	for r := 0; r <= rounds; r++ {
+		n := perBatch
+		if r == rounds {
+			n = wide
+		}
+		pages := make([]uint64, n)
+		lines := make(map[uint64][]byte, n)
 		for i := range pages {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			p := rng % (seq.Capacity() + 100)
+			if r == rounds {
+				p = uint64(i%Arity)*sub + rng%sub
+			}
 			pages[i] = p
 			lines[p] = lineBytes(rng, uint8(r), uint8(i))
 			seq.Update(p, lines[p])
 			seq.Sweep() // emulate the eager per-walk scheme
+		}
+		if r == rounds && len(lines) < 64 {
+			t.Fatalf("wide round staged only %d distinct leaves", len(lines))
 		}
 		bat.UpdateBatch(pages, func(p uint64) []byte { return lines[p] })
 	}

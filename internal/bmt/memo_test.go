@@ -7,23 +7,24 @@ import (
 
 // Pages for the verified-path memo tests on a height-4 tree: A and B
 // are sibling leaves (one level-1 parent, so every interior node of A's
-// path is on B's), and C sits in another top-level subtree so that a
-// sweep touching B and C splits into two subtrees and takes the
-// parallel path when workers allow it.
+// path is on B's), and C sits in another top-level subtree, so a sweep
+// touching B and C rewrites two disjoint paths below the root.
 const (
 	memoPageA = 3
 	memoPageB = 4
 	memoPageC = 3000
 )
 
-func memoTree(t *testing.T, workers int) (*Tree, map[uint64][]byte) {
+// memoMajor is the major counter memoTree gives each page.
+var memoMajor = map[uint64]uint64{memoPageA: 1, memoPageB: 2, memoPageC: 3}
+
+func memoTree(t *testing.T) (*Tree, map[uint64][]byte) {
 	t.Helper()
 	tr, _ := newTestTree(t, 4)
-	tr.SetSweepWorkers(workers)
 	lines := map[uint64][]byte{
-		memoPageA: lineBytes(1, 1),
-		memoPageB: lineBytes(2, 2),
-		memoPageC: lineBytes(3, 3),
+		memoPageA: lineBytes(memoMajor[memoPageA], 1),
+		memoPageB: lineBytes(memoMajor[memoPageB], 2),
+		memoPageC: lineBytes(memoMajor[memoPageC], 3),
 	}
 	for p, l := range lines {
 		tr.Update(p, l)
@@ -43,46 +44,54 @@ func memoTree(t *testing.T, workers int) (*Tree, map[uint64][]byte) {
 // where B's climb would otherwise stop at a node A's check memoized
 // below the tampered one.
 func TestVerifyMemoDroppedOnTamper(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for level := 1; level < 4; level++ {
-			t.Run(fmt.Sprintf("workers%d/level%d", workers, level), func(t *testing.T) {
-				tr, lines := memoTree(t, workers)
-				idx := uint64(memoPageB)
-				for l := 0; l < level; l++ {
-					idx /= Arity
-				}
-				if idx != uint64(memoPageA)>>(3*level) {
-					t.Fatalf("level %d node %d is not shared by A and B", level, idx)
-				}
-				if err := tr.Tamper(level, idx, Digest{0xFF}); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.Verify(memoPageB, lines[memoPageB]); err == nil {
-					t.Fatalf("tampered shared node (%d,%d) accepted on B's path", level, idx)
-				}
-				if err := tr.Verify(memoPageA, lines[memoPageA]); err == nil {
-					t.Fatalf("tampered shared node (%d,%d) accepted on A's path", level, idx)
-				}
-			})
-		}
+	for level := 1; level < 4; level++ {
+		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
+			tr, lines := memoTree(t)
+			idx := uint64(memoPageB)
+			for l := 0; l < level; l++ {
+				idx /= Arity
+			}
+			if idx != uint64(memoPageA)>>(3*level) {
+				t.Fatalf("level %d node %d is not shared by A and B", level, idx)
+			}
+			if err := tr.Tamper(level, idx, Digest{0xFF}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Verify(memoPageB, lines[memoPageB]); err == nil {
+				t.Fatalf("tampered shared node (%d,%d) accepted on B's path", level, idx)
+			}
+			if err := tr.Verify(memoPageA, lines[memoPageA]); err == nil {
+				t.Fatalf("tampered shared node (%d,%d) accepted on A's path", level, idx)
+			}
+		})
 	}
 }
 
 // TestVerifyMemoDroppedOnSweep verifies page A, then updates and sweeps
-// its sibling B (plus C in another subtree): the sweep must drop the
-// memo, so that a stored parent left stale by a lost write — modeled by
-// restoring its pre-sweep value behind the tree's back — is caught on
-// A's next check instead of being skipped as proven.
+// its sibling B (alone, or with C in another subtree): the sweep must
+// drop the memo, so that a stored parent left stale by a lost write —
+// modeled by restoring its pre-sweep value behind the tree's back — is
+// caught on A's next check instead of being skipped as proven.
 func TestVerifyMemoDroppedOnSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			tr, lines := memoTree(t, workers)
+	for _, tc := range []struct {
+		name  string
+		pages []uint64
+	}{
+		{"siblingOnly", []uint64{memoPageB}},
+		{"siblingAndOtherSubtree", []uint64{memoPageB, memoPageC}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, lines := memoTree(t)
 			parent := uint64(memoPageA) / Arity
 			stale := *tr.levels[1].Lookup(parent)
+			sweep := func(version byte) {
+				for _, p := range tc.pages {
+					tr.Update(p, lineBytes(memoMajor[p], version))
+				}
+				tr.Sweep()
+			}
 
-			tr.Update(memoPageB, lineBytes(2, 9))
-			tr.Update(memoPageC, lineBytes(3, 9))
-			tr.Sweep()
+			sweep(9)
 			if len(tr.verified) != 0 {
 				t.Fatalf("sweep left %d memoized nodes", len(tr.verified))
 			}
@@ -93,9 +102,7 @@ func TestVerifyMemoDroppedOnSweep(t *testing.T) {
 				t.Fatalf("verify A after the sibling's sweep: %v", err)
 			}
 
-			tr.Update(memoPageB, lineBytes(2, 10))
-			tr.Update(memoPageC, lineBytes(3, 10))
-			tr.Sweep()
+			sweep(10)
 			*tr.levels[1].Lookup(parent) = stale
 			if err := tr.Verify(memoPageA, lines[memoPageA]); err == nil {
 				t.Fatal("stale stored parent accepted after a sweep")
@@ -108,7 +115,7 @@ func TestVerifyMemoDroppedOnSweep(t *testing.T) {
 // is memoized, a wrong counter line is still rejected by the per-call
 // leaf check, and a fresh snapshot (no memo) gives the same verdicts.
 func TestVerifyMemoKeepsVerdicts(t *testing.T) {
-	tr, lines := memoTree(t, 1)
+	tr, lines := memoTree(t)
 	for p, l := range lines {
 		if err := tr.Verify(p, l); err != nil {
 			t.Fatalf("page %d: %v", p, err)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"testing"
 
 	"secpb/internal/config"
@@ -11,8 +10,8 @@ import (
 
 // TestRunBatchMatchesScalarRun replays the same generated stream
 // through the scalar Step loop and the batched path and requires
-// identical results — the batched replay is a pure dispatch
-// optimization, invisible to the simulation.
+// identical results, BMT root and PM footprint — the batched replay is
+// a pure dispatch optimization, invisible to the simulation.
 func TestRunBatchMatchesScalarRun(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.SchemeBBB, config.SchemeCOBCM, config.SchemeNoGap} {
 		cfg := config.Default().WithScheme(scheme)
@@ -44,59 +43,14 @@ func TestRunBatchMatchesScalarRun(t *testing.T) {
 		if a != b {
 			t.Errorf("%v: scalar result %+v != batched %+v", scheme, a, b)
 		}
-	}
-}
-
-// TestRunBatchPrefetchMatchesScalar forces the OTP-prefetch pipeline on
-// (it needs GOMAXPROCS ≥ 2) and requires the batched replay to remain
-// identical to the scalar one: the prefetcher may only move pad
-// derivation off the critical path, never change a result. It also
-// checks the pipeline actually ran and that consumed pads were real
-// hits, not silent rederivations.
-func TestRunBatchPrefetchMatchesScalar(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for _, scheme := range []config.Scheme{config.SchemeBBB, config.SchemeCOBCM, config.SchemeNoGap} {
-		cfg := config.Default().WithScheme(scheme)
-		prof := mustProfile(t, "povray")
-		ops, err := workload.Generate(prof, cfg.Seed, 30000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar := runOps(t, cfg, prof, ops)
-
-		batched, err := New(cfg, prof, []byte("k"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.RunBatch(trace.NewSliceBatchSource(ops)); err != nil {
-			t.Fatal(err)
-		}
-
-		if a, b := scalar.Collect(), batched.Collect(); a != b {
-			t.Errorf("%v: scalar result %+v != prefetched batched %+v", scheme, a, b)
-		}
 		if st := scalar.Controller().Tree(); st != nil {
 			if sr, br := st.Root(), batched.Controller().Tree().Root(); sr != br {
-				t.Errorf("%v: BMT root diverged under prefetch", scheme)
+				t.Errorf("%v: BMT root diverged between scalar and batched replay", scheme)
 			}
 		}
 		if sp, bp := scalar.Controller().PM().Len(), batched.Controller().PM().Len(); sp != bp {
 			t.Errorf("%v: PM block count %d scalar vs %d batched", scheme, sp, bp)
 		}
-		installed, hits := batched.Controller().OTPPrefetchStats()
-		if !batched.Controller().Secure() {
-			if installed != 0 {
-				t.Errorf("%v: insecure scheme installed %d pads", scheme, installed)
-			}
-			continue
-		}
-		if installed == 0 {
-			t.Fatalf("%v: prefetch pipeline never installed a pad", scheme)
-		}
-		if hits == 0 {
-			t.Errorf("%v: %d pads installed but none consumed", scheme, installed)
-		}
-		t.Logf("%v: %d pads installed, %d consumed", scheme, installed, hits)
 	}
 }
 

@@ -73,10 +73,13 @@ type Engine struct {
 
 	// Virtual SecPB occupancy: functional drains happen at scheduling
 	// time, but the slot stays occupied until the drain completes.
-	inflight   []uint64 // completion times of scheduled drains (FIFO)
-	draining   bool     // watermark drain in progress
-	virtualOcc int
-	peakOcc    int // high-water virtual occupancy (battery sizing)
+	inflight []uint64 // completion times of scheduled drains (FIFO)
+	// inflightBuf is the backing array inflight slides through; see
+	// scheduleDrain.
+	inflightBuf []uint64
+	draining    bool // watermark drain in progress
+	virtualOcc  int
+	peakOcc     int // high-water virtual occupancy (battery sizing)
 
 	// gapHist measures the draining + sec-sync window the battery must
 	// be able to cover (the gaps of Figure 3); each entry's point of
@@ -289,57 +292,16 @@ func (e *Engine) Run(src trace.Source) error {
 
 // RunBatch drains a batched source: ops arrive in columnar chunks, each
 // validated once up front and replayed with no per-op interface
-// dispatch. The replay is double-buffered: while the current batch
-// replays, a worker goroutine derives the one-time pads the next
-// batch's store blocks are predicted to need (counter-mode pads depend
-// only on the address/counter pair, so they can be computed off the
-// critical path) on a cloned crypto engine. Predicted pads are
-// installed in the controller's prefetch table after the join; wrong
-// predictions are dropped at consumption time, so the pipeline changes
-// wall-clock only, never results.
+// dispatch.
 func (e *Engine) RunBatch(src trace.BatchSource) error {
-	cur := trace.NewBatch(trace.DefaultBatchCap)
-	if !src.NextBatch(cur) {
-		return e.finishRun()
-	}
-	pf := e.newOTPPrefetcher()
-	if pf == nil {
-		// Single-buffered replay: without the pad pipeline there is
-		// nothing to overlap, so skip the second batch and its refill
-		// hand-off entirely.
-		for {
-			if err := cur.Validate(); err != nil {
-				return err
-			}
-			if err := e.replayBatch(cur); err != nil {
-				return err
-			}
-			if !src.NextBatch(cur) {
-				break
-			}
-		}
-		return e.finishRun()
-	}
-	next := trace.NewBatch(trace.DefaultBatchCap)
-	for {
-		if err := cur.Validate(); err != nil {
+	b := trace.NewBatch(trace.DefaultBatchCap)
+	for src.NextBatch(b) {
+		if err := b.Validate(); err != nil {
 			return err
 		}
-		more := src.NextBatch(next)
-		if more && pf != nil {
-			pf.launch(next)
-		}
-		if err := e.replayBatch(cur); err != nil {
-			pf.drain()
+		if err := e.replayBatch(b); err != nil {
 			return err
 		}
-		if more && pf != nil {
-			pf.install(e.mc)
-		}
-		if !more {
-			break
-		}
-		cur, next = next, cur
 	}
 	return e.finishRun()
 }
@@ -614,7 +576,18 @@ func (e *Engine) scheduleDrain(at uint64) error {
 		uint64(cost.PMReads)*e.timing.DrainPMRead
 	start := max(e.drainFree, at)
 	e.drainFree = start + busy
+	// Reaping advances inflight's start, so once the view reaches the
+	// end of its backing array the live entries move back to the front
+	// rather than into a new array. It grows only while the live depth
+	// exceeds half the backing array, so steady-state scheduling
+	// allocates nothing.
+	if len(e.inflight) == cap(e.inflight) && 2*len(e.inflight) <= cap(e.inflightBuf) {
+		e.inflight = append(e.inflightBuf[:0], e.inflight...)
+	}
 	e.inflight = append(e.inflight, e.drainFree)
+	if cap(e.inflight) > cap(e.inflightBuf) {
+		e.inflightBuf = e.inflight[:cap(e.inflight)]
+	}
 	// Record the PoP -> SPoP window (draining gap + sec-sync gap): the
 	// time this entry spent covered only by the battery guarantee.
 	if e.drainFree > entry.AllocCycle {

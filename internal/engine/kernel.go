@@ -37,11 +37,10 @@ import (
 // defaultKernels is the package-wide default for newly built engines:
 // nonzero = specialized kernels (the default), zero = generic
 // interpreter. It steers host wall-clock strategy only — results are
-// bit-identical either way — mirroring crypto.SetDefaultLanes. It is
-// deliberately NOT a config.Config field: experiment cell keys hash the
-// config, and a wall-clock knob must never perturb content keys (the
-// persistent cell cache shares entries across processes and knob
-// settings).
+// bit-identical either way. It is deliberately NOT a config.Config
+// field: experiment cell keys hash the config, and a wall-clock knob
+// must never perturb content keys (the persistent cell cache shares
+// entries across processes and knob settings).
 var defaultKernels atomic.Int32 // 0 = on (default), 1 = off
 
 // SetDefaultKernels sets the package default for engines that do not

@@ -139,8 +139,7 @@ type coreSim struct {
 // deterministic and lock-striped); shared writes and reads of
 // Modified lines defer to the barrier, where they replay serially in
 // canonical order — ascending core id, program order within a core —
-// making every result byte-identical at any worker count, the same
-// discipline as the subtree-parallel BMT sweep (DESIGN.md §5.6).
+// making every result byte-identical at any worker count.
 type System struct {
 	cfg   config.Config
 	prof  workload.Profile

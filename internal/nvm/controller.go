@@ -111,26 +111,17 @@ type Controller struct {
 
 	// Deferred drain-tuple materialization (see stageTuple/flushStaged):
 	// staged tuples in insertion order, the block→slot index (slot+1;
-	// zero means unstaged), and the reusable MAC-batch request scratch.
+	// zero means unstaged).
 	staged          []stagedTuple
 	stagedIx        *ptable.Table[int32]
-	macReqs         []crypto.MACRequest
 	stagedFlushes   uint64
 	stagedCoalesced uint64
-
-	// otpPre holds pads speculatively derived for predicted (block,
-	// counter) pairs by the engine's batch pipeline, consumed (or
-	// invalidated) on the next pad generation for the block.
-	otpPre       *ptable.Table[otpPrefetch]
-	preInstalled uint64
-	preHits      uint64
 }
 
 // stagedTuple is one drain whose physical materialization is deferred:
 // the PM cell is already allocated and all costs, caches and queues are
 // charged, but the cell holds plaintext until flush derives the pad
-// (needOTP) and the MAC store's tag cell is filled by the flush's
-// batched hash pass (needMAC).
+// (needOTP) and the flush computes the MAC store's tag cell (needMAC).
 type stagedTuple struct {
 	block   addr.Block
 	cell    *[addr.BlockBytes]byte
@@ -143,13 +134,6 @@ type stagedTuple struct {
 // before staging continues. Re-drains of an already-staged block
 // coalesce into their slot, so the bound is on distinct dirty blocks.
 const maxStagedTuples = 4096
-
-// otpPrefetch is one speculatively derived pad awaiting its drain.
-type otpPrefetch struct {
-	ctr   uint64
-	pad   [addr.BlockBytes]byte
-	valid bool
-}
 
 // NewController builds the controller for the given configuration. The
 // insecure BBB baseline (scheme bbb) stores plaintext and keeps no
@@ -434,10 +418,8 @@ func (c *Controller) MakeOTP(b addr.Block, counter uint64) ([addr.BlockBytes]byt
 
 // MakeOTPInto is MakeOTP writing the pad directly into dst (hot-path
 // form for per-entry early OTP generation into a SecPB entry field).
-// A matching prefetched pad is consumed instead of rederived; the
-// charged cost is identical either way.
 func (c *Controller) MakeOTPInto(dst *[addr.BlockBytes]byte, b addr.Block, counter uint64) Cost {
-	c.otpIntoPrefetched(dst, b, counter)
+	c.eng.OTPInto(dst, b.Addr(), counter)
 	return Cost{AESOps: 1}
 }
 
@@ -671,32 +653,25 @@ func (c *Controller) stageTuple(b addr.Block, plain *[addr.BlockBytes]byte, prep
 }
 
 // flushStaged materializes every staged drain tuple, in insertion
-// order: derive the pad (or consume a prefetched one) and encrypt the
-// cell in place, then compute all outstanding MACs in one batched pass
-// straight into the MAC store's tag cells. No Cost events are charged
-// here — stageTuple charged them at drain time.
+// order: derive the pad and encrypt the cell in place, then compute the
+// outstanding MAC straight into the MAC store's tag cell. No Cost
+// events are charged here — stageTuple charged them at drain time.
 func (c *Controller) flushStaged() {
 	if len(c.staged) == 0 {
 		return
 	}
 	c.stagedFlushes++
-	reqs := c.macReqs[:0]
 	for i := range c.staged {
 		t := &c.staged[i]
 		if t.needOTP {
-			c.otpIntoPrefetched(&c.otpBuf, t.block, t.ctr)
+			c.eng.OTPInto(&c.otpBuf, t.block.Addr(), t.ctr)
 			crypto.XOR(t.cell, t.cell, &c.otpBuf)
 		}
 		if t.needMAC {
-			reqs = append(reqs, crypto.MACRequest{
-				Tag: c.macs.PutSlot(t.block), CT: t.cell,
-				Addr: t.block.Addr(), Ctr: t.ctr,
-			})
+			c.eng.MACInto(c.macs.PutSlot(t.block), t.cell, t.block.Addr(), t.ctr)
 		}
 		*c.stagedIx.Lookup(t.block.Index()) = 0
 	}
-	c.eng.MACBatch(reqs)
-	c.macReqs = reqs[:0]
 	c.staged = c.staged[:0]
 }
 
@@ -709,46 +684,6 @@ func (c *Controller) FlushStaged() { c.flushStaged() }
 // existing staged slot).
 func (c *Controller) StagedStats() (flushes, coalesced uint64) {
 	return c.stagedFlushes, c.stagedCoalesced
-}
-
-// otpIntoPrefetched derives the pad for (b, ctr), consuming a matching
-// prefetched pad when one is present. Pads are pure functions of the
-// (address, counter) pair, so a hit changes wall-clock only, never the
-// pad; the caller charges the same one-AESOp cost either way. A staled
-// prefetch (counter moved past the prediction) is dropped.
-func (c *Controller) otpIntoPrefetched(dst *[addr.BlockBytes]byte, b addr.Block, ctr uint64) {
-	if c.otpPre != nil {
-		if p := c.otpPre.Lookup(b.Index()); p != nil && p.valid {
-			p.valid = false
-			if p.ctr == ctr {
-				*dst = p.pad
-				c.preHits++
-				return
-			}
-		}
-	}
-	c.eng.OTPInto(dst, b.Addr(), ctr)
-}
-
-// InstallPrefetchedOTP deposits a speculatively derived pad for the
-// predicted (b, ctr) drain. The engine's batch pipeline derives pads
-// for the next batch's write set on a worker while the current batch
-// drains; a wrong prediction is dropped at consumption time.
-func (c *Controller) InstallPrefetchedOTP(b addr.Block, ctr uint64, pad *[addr.BlockBytes]byte) {
-	if !c.secure {
-		return
-	}
-	if c.otpPre == nil {
-		c.otpPre = ptable.New[otpPrefetch]()
-	}
-	p, _ := c.otpPre.GetOrCreate(b.Index())
-	p.ctr, p.pad, p.valid = ctr, *pad, true
-	c.preInstalled++
-}
-
-// OTPPrefetchStats returns (pads installed, pads consumed).
-func (c *Controller) OTPPrefetchStats() (installed, hits uint64) {
-	return c.preInstalled, c.preHits
 }
 
 // reencryptPage re-encrypts every resident block of b's page: decrypt

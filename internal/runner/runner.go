@@ -25,9 +25,11 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // returns the results in input order. fn receives the item's index so it
 // can label work without shared state.
 //
-// On error, the pool context is cancelled, remaining unstarted jobs are
-// skipped, and Map returns the error from the lowest-indexed failed job
-// after all in-flight jobs finish. A cancelled ctx yields ctx.Err().
+// On error, the pool context is cancelled, unstarted jobs above the
+// failed index are skipped, and Map returns the error from the
+// lowest-indexed failed job after all in-flight jobs finish. Unstarted
+// jobs below it still run, so which failure is reported does not depend
+// on scheduling. A cancelled ctx yields ctx.Err().
 func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -58,6 +60,7 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 		return results, nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -86,8 +89,14 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 				if i >= len(items) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
+				if err := parent.Err(); err != nil {
 					fail(i, err)
+					return
+				}
+				mu.Lock()
+				skip := i > errIdx
+				mu.Unlock()
+				if skip {
 					return
 				}
 				r, err := fn(ctx, i, items[i])

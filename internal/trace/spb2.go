@@ -816,9 +816,9 @@ func (d *Decoder) readSegment(b *Batch) error {
 // scalar Source), so the harness and engine.RunBatch run recorded
 // traces exactly as they run generated ones. Decoding is segment-at-a-
 // time into two internal buffers, alternating so the zero-copy views
-// handed to a double-buffered consumer stay valid while the next
-// segment decodes — the FileBatchSource counterpart of the
-// SliceBatchSource aliasing contract.
+// handed to a consumer that holds one batch while refilling another
+// stay valid while the next segment decodes — the FileBatchSource
+// counterpart of the SliceBatchSource aliasing contract.
 //
 // NextBatch returning false means end of stream or error; callers must
 // check Err afterwards. As with any BatchSource, consume the stream

@@ -276,10 +276,10 @@ func TestFileBatchSourceMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestFileBatchSourceDoubleBuffer checks the aliasing contract the
-// engine's double-buffered replay loop depends on: the views installed
-// into one consumer batch must stay intact while the source refills a
-// second batch (i.e. the source alternates internal buffers rather than
+// TestFileBatchSourceDoubleBuffer checks the aliasing contract a
+// double-buffered consumer depends on: the views installed into one
+// consumer batch must stay intact while the source refills a second
+// batch (i.e. the source alternates internal buffers rather than
 // decoding over live data).
 func TestFileBatchSourceDoubleBuffer(t *testing.T) {
 	ops := genOps(3 * DefaultBatchCap)

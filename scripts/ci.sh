@@ -20,11 +20,13 @@ fi
 go test -race ./...
 
 # Exact-zero allocation pins for the kernel hot paths, plus the
-# crash-point capture's steady-state bound (snapshot stores recycle, so
-# a capture allocates less than one table page). These carry a !race
-# build tag — race instrumentation allocates on its own — so they need
-# this uninstrumented pass to run at all.
-go test -run 'ZeroAlloc|CaptureSteadyStateAlloc' . ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/
+# steady-state bounds of the crash-point capture (snapshot stores
+# recycle, so a capture allocates less than one table page) and of
+# RunBatch (one batch buffer per call). These carry a !race build tag —
+# race instrumentation allocates on its own — so they need this
+# uninstrumented pass to run at all.
+go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RunBatchSteadyStateAlloc' . \
+    ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/ ./internal/engine/
 
 # Benchmarks must at least compile and run one iteration: the perf
 # report scripts depend on them, and a bench-only regression would
@@ -32,23 +34,11 @@ go test -run 'ZeroAlloc|CaptureSteadyStateAlloc' . ./internal/crypto/ ./internal
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Differential fuzzers on their seed corpora: the fast SHA-512 and
-# AES-NI OTP paths must agree with their hand-rolled references (the
-# interleaved multi-buffer MAC lanes included, via FuzzMACLanesVsScalar),
-# the paged table and the persist buffer must agree with their map
-# models, and every seeded corruption must be flagged, on every gate run.
+# AES-NI OTP paths must agree with their hand-rolled references, the
+# paged table and the persist buffer must agree with their map models,
+# and every seeded corruption must be flagged, on every gate run.
 go test -run Fuzz ./internal/crypto/... ./internal/ptable/... \
     ./internal/pb/... ./internal/recovery/... ./internal/trace/...
-
-# Parallel data plane: the subtree-parallel BMT sweep, the interleaved
-# MAC lanes, and the OTP-prefetch replay pipeline must produce results
-# identical to the serial paths — and do so race-free. These tests force
-# GOMAXPROCS>=2 internally so the parallel code engages even on 1-CPU
-# hosts.
-go test -race \
-    -run 'TestParallelSweepMatchesSerial|TestRunBatchPrefetchMatchesScalar|TestArtifactIdentityParallelSweep|TestCrashMatrixParallelSweepIdentity|TestFaultSweepParallelSweepIdentity' \
-    ./internal/bmt/ ./internal/engine/ ./internal/harness/ \
-    ./internal/crashsim/ ./internal/recovery/
-
 
 # Determinism gate: the table4 artifact must be byte-identical between a
 # serial run and a parallel memoized run — the cell memo and the worker
@@ -67,10 +57,10 @@ if ! diff -q "$tmp/table4_serial.txt" "$tmp/table4_parallel.txt"; then
 fi
 echo "table4 identical: serial/-memo=false vs parallel/memoized"
 
-# ... and across the parallel-data-plane knobs: sweep workers and MAC
-# lane width are wall-clock strategies, never allowed to leak into the
-# artifact bytes.
-for knobs in "-parallel 4 -sweepworkers 4 -lanes 4" "-parallel 8 -sweepworkers 8 -lanes 2" "-parallel 4 -cores 1" "-parallel 4 -kernels=false"; do
+# ... and across the wall-clock knobs: worker count, core count and
+# kernel choice are strategies, never allowed to leak into the artifact
+# bytes.
+for knobs in "-parallel 8" "-parallel 4 -cores 1" "-parallel 4 -kernels=false"; do
     # shellcheck disable=SC2086
     "$tmp/secpb-bench" -exp table4 -ops 5000 $knobs \
         > "$tmp/table4_knobs.txt" 2>&1
@@ -79,7 +69,7 @@ for knobs in "-parallel 4 -sweepworkers 4 -lanes 4" "-parallel 8 -sweepworkers 8
         exit 1
     fi
 done
-echo "table4 identical across sweep-worker, MAC-lane, -cores and -kernels settings"
+echo "table4 identical across -parallel, -cores and -kernels settings"
 
 # Persistent cell-cache gate: a warm -memodir run must replay from disk
 # byte-identically, and a corrupted record must be rejected and
@@ -116,18 +106,18 @@ go test -race \
     ./internal/engine/ ./internal/crashsim/ ./internal/recovery/
 
 # Multi-core determinism gate: the battery-sizing grid must be
-# byte-identical between a serial unmemoized run and a parallel run with
-# every data-plane knob turned — core stepping, sweep workers, MAC lanes
-# and the cell memo are all wall-clock strategies, never artifact bits.
+# byte-identical between a serial unmemoized run and a parallel memoized
+# run — core stepping and the cell memo are wall-clock strategies, never
+# artifact bits.
 "$tmp/secpb-bench" -exp multicore -ops 2000 -cores 1,2,4 -parallel 1 -memo=false \
     > "$tmp/multicore_serial.txt" 2>&1
-"$tmp/secpb-bench" -exp multicore -ops 2000 -cores 1,2,4 -parallel 8 -sweepworkers 4 -lanes 4 \
-    > "$tmp/multicore_knobs.txt" 2>&1
-if ! diff -q "$tmp/multicore_serial.txt" "$tmp/multicore_knobs.txt"; then
-    echo "ERROR: multicore battery grid differs between serial and knobbed parallel runs" >&2
+"$tmp/secpb-bench" -exp multicore -ops 2000 -cores 1,2,4 -parallel 8 \
+    > "$tmp/multicore_parallel.txt" 2>&1
+if ! diff -q "$tmp/multicore_serial.txt" "$tmp/multicore_parallel.txt"; then
+    echo "ERROR: multicore battery grid differs between serial and parallel runs" >&2
     exit 1
 fi
-echo "multicore battery grid identical: serial vs parallel/knobbed"
+echo "multicore battery grid identical: serial vs parallel"
 
 # Crash-matrix smoke: every SecPB scheme survives a fixed-seed set of
 # injected power failures on a short trace, recovering byte-identically

@@ -11,7 +11,7 @@
 #   5. multi-core sharded stepping (BENCH_PR7.json): per-core-op cost as
 #      the socket scales, the scheme x {1,8,64,256}-core battery grid
 #      wall-clock, and a byte-identity check of the grid between a serial
-#      run and a knobbed parallel run,
+#      run and a parallel run,
 #   6. specialized kernels + persistent grid cache (BENCH_PR8.json):
 #      BenchmarkEngineStore medians with kernels on, the kernel-vs-
 #      generic replay ratio, and cold vs warm -memodir wall-clock with
@@ -42,19 +42,6 @@ go test -bench 'BenchmarkOTPGenReference$|BenchmarkPTableVsMap|BenchmarkRunBatch
 go test -bench 'BenchmarkExpAllMemoized' -benchtime 1x -run '^$' . \
     | tee "$out/bench_memo.txt"
 
-echo "== parallel data plane =="
-# Multi-buffer MAC lanes vs the scalar fast path, the subtree-parallel
-# BMT sweep vs serial (256 dirty leaves per op), and the batched replay
-# with the OTP-prefetch pipeline. On 1-CPU hosts the parallel widths
-# bound fork/join overhead rather than showing speedup — record the
-# host's GOMAXPROCS next to these numbers.
-go test -bench 'BenchmarkMACBatch|BenchmarkLaneCompression' \
-    -benchmem -benchtime 2s -run '^$' ./internal/crypto/ | tee "$out/bench_maclanes.txt"
-go test -bench 'BenchmarkSweepParallel' \
-    -benchmem -benchtime 2s -run '^$' ./internal/bmt/ | tee "$out/bench_sweep.txt"
-go test -bench 'BenchmarkRunBatchVsRun' \
-    -benchmem -benchtime 2s -run '^$' . | tee "$out/bench_runbatch.txt"
-
 echo "== table4 sweep: serial vs parallel =="
 go build -o "$out/secpb-bench" ./cmd/secpb-bench
 "$out/secpb-bench" -exp table4 -ops 60000 -parallel 1 \
@@ -62,12 +49,8 @@ go build -o "$out/secpb-bench" ./cmd/secpb-bench
 "$out/secpb-bench" -exp table4 -ops 60000 -parallel 0 \
     -timing "$out/timing_parallel.json" > "$out/table4_parallel.txt"
 
-"$out/secpb-bench" -exp table4 -ops 60000 -parallel 0 -sweepworkers 8 -lanes 4 \
-    > "$out/table4_parsweep.txt"
-
-if diff -q "$out/table4_serial.txt" "$out/table4_parallel.txt" > /dev/null &&
-    diff -q "$out/table4_serial.txt" "$out/table4_parsweep.txt" > /dev/null; then
-    echo "output identical across parallelism, sweep-worker and lane levels"
+if diff -q "$out/table4_serial.txt" "$out/table4_parallel.txt" > /dev/null; then
+    echo "output identical across parallelism levels"
 else
     echo "ERROR: parallel output differs from serial" >&2
     exit 1
@@ -103,17 +86,16 @@ go test -bench 'BenchmarkSystemStep' -benchtime 2s -run '^$' \
 
 # The battery-sizing grid end to end at paper scale (schemes x
 # {1,8,64,256} cores), timed, then byte-diffed between a serial
-# unmemoized run and a fully-knobbed parallel run.
+# unmemoized run and a parallel memoized run.
 "$out/secpb-bench" -exp multicore -ops 5000 -cores 1,8,64,256 -json \
     -parallel 1 -memo=false -timing "$out/timing_multicore.json" \
     > "$out/multicore_serial.json" 2>/dev/null
 "$out/secpb-bench" -exp multicore -ops 5000 -cores 1,8,64,256 -json \
-    -parallel 8 -sweepworkers 4 -lanes 4 \
-    > "$out/multicore_knobs.json" 2>/dev/null
-if diff -q "$out/multicore_serial.json" "$out/multicore_knobs.json" > /dev/null; then
-    echo "multicore battery grid identical: serial vs parallel/knobbed"
+    -parallel 8 > "$out/multicore_parallel.json" 2>/dev/null
+if diff -q "$out/multicore_serial.json" "$out/multicore_parallel.json" > /dev/null; then
+    echo "multicore battery grid identical: serial vs parallel"
 else
-    echo "ERROR: multicore grid differs between serial and knobbed runs" >&2
+    echo "ERROR: multicore grid differs between serial and parallel runs" >&2
     exit 1
 fi
 cat "$out/timing_multicore.json"
