@@ -58,6 +58,15 @@ func NewHeightModel(cfg config.Config) *HeightModel {
 	return m
 }
 
+// Reset empties the root cache and zeroes the statistics in place, as
+// NewHeightModel would leave them.
+func (m *HeightModel) Reset() {
+	if m.rootCache != nil {
+		m.rootCache.Reset()
+	}
+	m.hits, m.misses = 0, 0
+}
+
 // Mode returns the configured BMF mode.
 func (m *HeightModel) Mode() config.BMFMode { return m.mode }
 

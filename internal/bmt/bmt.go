@@ -417,6 +417,26 @@ func (t *Tree) SnapshotInto(dst *Tree) *Tree {
 	return dst
 }
 
+// Reset empties the tree in place, leaving it observationally equal to
+// New with the same hasher and height: no stored nodes, no staged
+// updates, the root register at the all-default root, zero Updates and
+// PhysicalHashes, and no verified-path memo. The level pages, staged-line
+// buffers and memo storage are kept, and so is the default-hash chain,
+// which depends only on the hasher and the height.
+func (t *Tree) Reset() {
+	for idx, line := range t.pending {
+		t.freeLines = append(t.freeLines, line)
+		delete(t.pending, idx)
+	}
+	for _, lv := range t.levels {
+		lv.Reset()
+	}
+	t.root = t.defaults[t.height]
+	t.updates = 0
+	t.physHashes = 0
+	t.forgetVerified()
+}
+
 // NodesMaterialized returns the number of non-default nodes stored.
 func (t *Tree) NodesMaterialized() int {
 	t.Sweep()

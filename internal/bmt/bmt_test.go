@@ -396,3 +396,63 @@ func BenchmarkTreeVerify(b *testing.B) {
 		}
 	}
 }
+
+// TestResetMatchesNew resets a tree that holds swept nodes, staged
+// updates, nonzero counters and a verified-path memo: it must observe
+// exactly like New — Root, Updates, PhysicalHashes, no stored node, an
+// empty memo — and, given the same updates afterwards, keep agreeing
+// with a new tree, verdicts included.
+func TestResetMatchesNew(t *testing.T) {
+	tr, e := newTestTree(t, 4)
+	lines := map[uint64][]byte{3: lineBytes(1, 1), 4: lineBytes(2, 2), 3000: lineBytes(3, 3)}
+	for p, l := range lines {
+		tr.Update(p, l)
+	}
+	tr.Sweep()
+	if err := tr.Verify(3, lines[3]); err != nil {
+		t.Fatal(err)
+	}
+	tr.Update(77, lineBytes(9, 9)) // left staged
+	if len(tr.verified) == 0 || len(tr.pending) == 0 {
+		t.Fatal("tree not dirty before Reset")
+	}
+	tr.Reset()
+
+	fresh, err := New(e, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(stage string) {
+		t.Helper()
+		if tr.Root() != fresh.Root() || tr.Updates() != fresh.Updates() ||
+			tr.PhysicalHashes() != fresh.PhysicalHashes() || tr.NodesMaterialized() != fresh.NodesMaterialized() {
+			t.Fatalf("%s: reset tree root %x updates %d hashes %d nodes %d, new tree %x %d %d %d", stage,
+				tr.Root(), tr.Updates(), tr.PhysicalHashes(), tr.NodesMaterialized(),
+				fresh.Root(), fresh.Updates(), fresh.PhysicalHashes(), fresh.NodesMaterialized())
+		}
+	}
+	same("after Reset")
+	if len(tr.verified) != 0 {
+		t.Fatalf("Reset kept %d verified-path memo entries", len(tr.verified))
+	}
+	for l := 0; l < 4; l++ {
+		if _, ok := tr.Node(l, 0); ok {
+			t.Fatalf("level %d node 0 still materialized after Reset", l)
+		}
+	}
+	// A page proven before the reset is unknown to the reset tree.
+	if err := tr.Verify(3, lines[3]); err == nil {
+		t.Fatal("reset tree still verifies a page it no longer holds")
+	}
+
+	pages := []uint64{4, 3000, 4095}
+	lineOf := func(p uint64) []byte { return lineBytes(p, uint8(p)) }
+	tr.UpdateBatch(pages, lineOf)
+	fresh.UpdateBatch(pages, lineOf)
+	same("after UpdateBatch")
+	for _, p := range pages {
+		if err := tr.Verify(p, lineOf(p)); err != nil {
+			t.Fatalf("verify %d after Reset: %v", p, err)
+		}
+	}
+}

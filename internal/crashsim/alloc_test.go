@@ -72,3 +72,63 @@ func TestCaptureSteadyStateAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoverVerifySteadyStateAlloc pins the recycled recovery state:
+// after a cell's first crash point, RecoverVerify reboots the
+// snapshot's controller in place (Reboot) and replays the audit into a
+// reset tree, with the journal and the verify block lists in recycled
+// buffers, so the bytes allocated inside RecoverVerify must average
+// below 8 KiB per point. Most points allocate nothing; what remains is
+// the table pages a recovery drain is first to touch, which later
+// captures then reuse. Building a fresh controller and replay tree per
+// point allocates about 250 KB.
+func TestRecoverVerifySteadyStateAlloc(t *testing.T) {
+	const budget = 8 << 10
+	for _, wl := range []string{"gcc", "kvstore"} {
+		t.Run(wl, func(t *testing.T) {
+			prof, err := workload.ByName(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := config.Default().WithScheme(config.SchemeCOBCM)
+			cfg.Seed = 41
+			ops, err := workload.Generate(prof, cfg.Seed, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			var inside uint64
+			points := 0
+			_, err = InjectTraceWith(cfg, prof, []byte("recover-alloc-key"), ops,
+				TraceOptions{Points: 60, Seed: 7},
+				func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+					runtime.ReadMemStats(&ms)
+					before := ms.TotalAlloc
+					res, err := snap.RecoverVerify(golden)
+					runtime.ReadMemStats(&ms)
+					if points > 0 {
+						inside += ms.TotalAlloc - before
+					}
+					points++
+					if err != nil {
+						return err
+					}
+					if res.Failures > 0 {
+						t.Errorf("point %d: %s", snap.PointIndex, res.FirstBad)
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if points < 10 {
+				t.Fatalf("only %d crash points injected", points)
+			}
+			perPoint := inside / uint64(points-1)
+			t.Logf("%s: %d B allocated per RecoverVerify over %d points", wl, perPoint, points-1)
+			if perPoint >= budget {
+				t.Errorf("%d B allocated per RecoverVerify at steady state, want < %d", perPoint, budget)
+			}
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package crashsim
 
 import (
-	"sort"
-
 	"secpb/internal/addr"
 	"secpb/internal/trace"
 )
@@ -54,14 +52,3 @@ func (s *shadow) advanceTo(committed int) {
 // view returns the shadow's plaintext image. The map is live — callers
 // use it synchronously and must not retain it across further advances.
 func (s *shadow) view() map[addr.Block][addr.BlockBytes]byte { return s.mem }
-
-// sortedBlocks returns golden's block set in ascending address order so
-// verification order (and the first reported failure) is deterministic.
-func sortedBlocks(golden map[addr.Block][addr.BlockBytes]byte) []addr.Block {
-	out := make([]addr.Block, 0, len(golden))
-	for b := range golden {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

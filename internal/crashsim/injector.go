@@ -26,7 +26,9 @@ import (
 // Handler call that receives it: once the handler returns, the injector
 // recycles the snapshot and its stores (PM image, counter and MAC
 // stores, tree) as the destination of the next capture, so that each
-// capture copies only the present data into pages it already owns.
+// capture copies only the present data into pages it already owns. The
+// controller its recovery booted is recycled with it and rebooted onto
+// the next capture.
 type Snapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64 // ordinal among all points fired this run
@@ -42,6 +44,9 @@ type Snapshot struct {
 	macs    *meta.MACStore
 	tree    *bmt.Tree
 	entries []core.Entry
+	// rec is the recovery controller and scratch recycled with the
+	// stores (see recoverer).
+	rec *recoverer
 }
 
 // Handler receives each captured snapshot together with the golden
@@ -174,7 +179,7 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 	committed := int(stores)
 	in.shadow.advanceTo(committed)
 	if in.snap == nil {
-		in.snap = &Snapshot{}
+		in.snap = &Snapshot{rec: new(recoverer)}
 	}
 	snap := in.snap
 	*snap = Snapshot{
@@ -191,6 +196,7 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 		macs:       mc.MACs().SnapshotInto(snap.macs),
 		tree:       mc.Tree().SnapshotInto(snap.tree),
 		entries:    spb.SnapshotEntries(),
+		rec:        snap.rec,
 	}
 	return snap
 }

@@ -138,9 +138,10 @@ func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockByt
 		res.fail(fmt.Sprintf("cross-core late work failed: %v", err))
 		return res, nil
 	}
+	var v verifier
 	for c, mc := range privMCs {
 		var shardRes VerifyResult
-		if err := verifyImage(mc, priv[c], &shardRes); err != nil {
+		if err := v.verifyImage(mc, priv[c], &shardRes); err != nil {
 			return res, fmt.Errorf("crashsim: core %d shard: %w", c, err)
 		}
 		res.BlocksChecked += shardRes.BlocksChecked
@@ -150,7 +151,7 @@ func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockByt
 		}
 	}
 	var sharedRes VerifyResult
-	if err := verifyImage(sharedMC, shared, &sharedRes); err != nil {
+	if err := v.verifyImage(sharedMC, shared, &sharedRes); err != nil {
 		return res, fmt.Errorf("crashsim: shared shard: %w", err)
 	}
 	res.BlocksChecked += sharedRes.BlocksChecked

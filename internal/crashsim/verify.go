@@ -3,9 +3,12 @@ package crashsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"secpb/internal/addr"
+	"secpb/internal/bmt"
 	"secpb/internal/energy"
+	"secpb/internal/meta"
 	"secpb/internal/nvm"
 	"secpb/internal/recovery"
 )
@@ -32,8 +35,46 @@ func (v *VerifyResult) fail(msg string) {
 	}
 }
 
-// RecoverVerify restores a memory controller from the snapshot's NV
-// image, runs the scheme's post-crash late work over the battery-backed
+// recoverer is the recovery state a Snapshot keeps from one crash point
+// to the next, beside its recycled stores: the controller every
+// recovery reboots onto the captured image, the late-work journal, and
+// the verification scratch. Each recovery overwrites all of it before
+// reading it — Reboot brings the controller up cold, Reset re-captures
+// the journal — so recycling it changes no finding.
+type recoverer struct {
+	mc      *nvm.Controller
+	journal recovery.Journal
+	verifier
+}
+
+// verifier is verifyImage's scratch, reused across images: the audit's
+// lists and replay tree, and the persisted, golden and lost block lists.
+type verifier struct {
+	audit     recovery.Auditor
+	persisted []addr.Block
+	committed []addr.Block
+	lost      []addr.Block
+}
+
+// boot power-cycles the snapshot's recovery controller onto an NV
+// image, building the controller on the snapshot's first recovery.
+func (s *Snapshot) boot(pm *nvm.PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) (*nvm.Controller, error) {
+	if s.rec.mc == nil {
+		mc, err := nvm.Restore(s.cfg, s.key, pm, ctrs, macs, tree)
+		if err != nil {
+			return nil, err
+		}
+		s.rec.mc = mc
+		return mc, nil
+	}
+	if err := s.rec.mc.Reboot(pm, ctrs, macs, tree); err != nil {
+		return nil, err
+	}
+	return s.rec.mc, nil
+}
+
+// RecoverVerify boots a memory controller on the snapshot's NV image,
+// runs the scheme's post-crash late work over the battery-backed
 // entries, and then checks the recovered state four ways:
 //
 //  1. the whole-image audit (per-block MAC, per-page BMT path, root
@@ -50,34 +91,41 @@ func (v *VerifyResult) fail(msg string) {
 // legally re-increments on re-drain, yielding a different-but-valid
 // tuple for the same plaintext. The returned error is a harness
 // failure; verification findings land in the result.
+//
+// The controller is the snapshot's own, rebooted in place (Reboot) at
+// every crash point after the first, and the journal and verification
+// scratch are recycled with it; like the stores, they are valid only
+// inside the handler call.
 func (s *Snapshot) RecoverVerify(golden map[addr.Block][addr.BlockBytes]byte) (VerifyResult, error) {
 	var res VerifyResult
-	mc, err := nvm.Restore(s.cfg, s.key, s.pm, s.ctrs, s.macs, s.tree)
+	mc, err := s.boot(s.pm, s.ctrs, s.macs, s.tree)
 	if err != nil {
 		return res, fmt.Errorf("crashsim: restore controller: %w", err)
 	}
 	res.EntriesDrained = len(s.entries)
-	if _, err := recovery.DrainEntries(mc, s.entries); err != nil {
+	j := &s.rec.journal
+	j.Reset(s.entries)
+	if _, err := recovery.DrainEntriesBudget(mc, j, nil); err != nil {
 		// A late drain that cannot complete is a correctness finding —
 		// the battery-backed state was insufficient — not a harness bug.
 		res.fail(fmt.Sprintf("late work failed: %v", err))
 		return res, nil
 	}
-	return res, verifyImage(mc, golden, &res)
+	return res, s.rec.verifyImage(mc, golden, &res)
 }
 
 // RecoverVerifyResumable is RecoverVerify under a degraded battery: the
 // first recovery boot funds only budgetEntries entries of late work, so
 // a snapshot holding more suffers a nested crash mid-drain. A second
-// boot then restores the partially-drained NV image (volatile state
-// cold, exactly as after any power loss) and resumes from the persistent
-// late-work journal where the first boot's cursor stopped. With
-// dropJournal the journal is lost in the nested crash — the negative
-// control: the second boot can only audit what already drained, and
-// verification must find the undrained entries missing.
+// boot then reboots the controller onto the partially-drained NV image
+// (volatile state cold, exactly as after any power loss) and resumes
+// from the persistent late-work journal where the first boot's cursor
+// stopped. With dropJournal the journal is lost in the nested crash —
+// the negative control: the second boot can only audit what already
+// drained, and verification must find the undrained entries missing.
 func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes]byte, budgetEntries int, dropJournal bool) (VerifyResult, error) {
 	var res VerifyResult
-	mc, err := nvm.Restore(s.cfg, s.key, s.pm, s.ctrs, s.macs, s.tree)
+	mc, err := s.boot(s.pm, s.ctrs, s.macs, s.tree)
 	if err != nil {
 		return res, fmt.Errorf("crashsim: restore controller: %w", err)
 	}
@@ -89,7 +137,8 @@ func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes
 	// out at entry boundaries, never mid-tuple.
 	budget := energy.NewBudget((float64(budgetEntries) + 0.5) * perJ)
 
-	j := recovery.NewJournal(s.entries)
+	j := &s.rec.journal
+	j.Reset(s.entries)
 	_, derr := recovery.DrainEntriesBudget(mc, j, budget)
 	switch {
 	case derr == nil:
@@ -98,12 +147,11 @@ func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes
 		res.Exhausted = true
 		// Second boot: the nested crash preserved the partially-drained
 		// NV image (DrainEntriesBudget committed the staged sweep before
-		// dying); re-restore it so volatile state comes up cold.
-		mc2, rerr := nvm.Restore(s.cfg, s.key, mc.PM(), mc.Counters(), mc.MACs(), mc.Tree())
-		if rerr != nil {
-			return res, fmt.Errorf("crashsim: restore after nested crash: %w", rerr)
+		// dying); reboot onto it so volatile state comes up cold. PM and
+		// MACs materialize any staged drain tuple before the reboot.
+		if mc, err = s.boot(mc.PM(), mc.Counters(), mc.MACs(), mc.Tree()); err != nil {
+			return res, fmt.Errorf("crashsim: restore after nested crash: %w", err)
 		}
-		mc = mc2
 		if !dropJournal {
 			if _, rerr := recovery.DrainEntriesBudget(mc, j, nil); rerr != nil {
 				res.fail(fmt.Sprintf("journal resume failed: %v", rerr))
@@ -116,15 +164,15 @@ func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes
 		return res, nil
 	}
 	res.EntriesDrained = j.Done()
-	return res, verifyImage(mc, golden, &res)
+	return res, s.rec.verifyImage(mc, golden, &res)
 }
 
 // verifyImage runs checks 1-4 (see RecoverVerify) over a recovered
 // controller against the golden plaintext image. It is shard-agnostic:
 // the multi-core matrix applies it to each private memory-channel shard
 // and to the shared coherent region independently.
-func verifyImage(mc *nvm.Controller, golden map[addr.Block][addr.BlockBytes]byte, res *VerifyResult) error {
-	audit, err := recovery.AuditImage(mc)
+func (v *verifier) verifyImage(mc *nvm.Controller, golden map[addr.Block][addr.BlockBytes]byte, res *VerifyResult) error {
+	audit, err := v.audit.Audit(mc)
 	if err != nil {
 		return fmt.Errorf("crashsim: audit: %w", err)
 	}
@@ -132,20 +180,35 @@ func verifyImage(mc *nvm.Controller, golden map[addr.Block][addr.BlockBytes]byte
 		res.fail("audit: " + audit.FirstBad)
 	}
 
-	persisted := mc.PM().Blocks()
-	have := make(map[addr.Block]struct{}, len(persisted))
-	for _, b := range persisted {
-		have[b] = struct{}{}
-		if _, ok := golden[b]; !ok {
-			res.fail(fmt.Sprintf("phantom block %#x persisted but never committed", b.Addr()))
+	// Check 2 walks the persisted and golden block lists together, both
+	// in ascending address order: a block on the persisted side only is
+	// a phantom, one on the golden side only was lost. Phantoms are
+	// reported first and lost blocks after them, each in ascending order,
+	// so the first reported failure is deterministic.
+	persisted := mc.PM().AppendBlocks(v.persisted[:0])
+	committed := v.committed[:0]
+	for b := range golden {
+		committed = append(committed, b)
+	}
+	slices.Sort(committed)
+	lost := v.lost[:0]
+	for i, k := 0, 0; i < len(persisted) || k < len(committed); {
+		switch {
+		case k == len(committed) || i < len(persisted) && persisted[i] < committed[k]:
+			res.fail(fmt.Sprintf("phantom block %#x persisted but never committed", persisted[i].Addr()))
+			i++
+		case i == len(persisted) || committed[k] < persisted[i]:
+			lost = append(lost, committed[k])
+			k++
+		default:
+			i++
+			k++
 		}
 	}
-	committed := sortedBlocks(golden)
-	for _, b := range committed {
-		if _, ok := have[b]; !ok {
-			res.fail(fmt.Sprintf("committed block %#x lost after recovery", b.Addr()))
-		}
+	for _, b := range lost {
+		res.fail(fmt.Sprintf("committed block %#x lost after recovery", b.Addr()))
 	}
+	v.persisted, v.committed, v.lost = persisted, committed, lost
 
 	eng := mc.Engine()
 	for _, b := range committed {

@@ -88,6 +88,20 @@ func NewCache(name string, cfg config.CacheConfig) *Cache {
 	}
 }
 
+// Reset empties the cache in place, leaving it observationally equal to
+// a NewCache of the same configuration: every set's valid prefix, its
+// MRU way, the probe clock and the statistics go back to zero. Tags,
+// stamps and states are left as they are, because ways at or beyond a
+// set's valid count are never read: a fill of a non-full set appends
+// without a victim scan, and a set's stamps are scanned only once it is
+// full again, by which point every way has been rewritten.
+func (c *Cache) Reset() {
+	clear(c.valid)
+	clear(c.mru)
+	c.clock = 0
+	c.hits, c.misses, c.evictions, c.wbacks = 0, 0, 0, 0
+}
+
 // Latency returns the configured access latency in cycles.
 func (c *Cache) Latency() uint64 { return c.latency }
 

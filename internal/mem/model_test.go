@@ -112,3 +112,86 @@ func TestCacheOccupancyNeverExceedsWays(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheResetMatchesNew drives a cache through a random op prefix
+// (every probe flavour, fills and invalidations), resets it, and then
+// runs a random suffix on it and on a NewCache of the same geometry in
+// lockstep: every hit, victim, invalidation result and the final
+// statistics must agree, since Reset must be indistinguishable from a
+// freshly built cache.
+func TestCacheResetMatchesNew(t *testing.T) {
+	cfg := config.CacheConfig{SizeBytes: 4096, Ways: 4, BlockBytes: 64, AccessCycles: 1}
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := xrand.New(seed)
+		reset := NewCache("reset", cfg)
+		randomOps(r, 500+r.Intn(3000), func(op cacheOp) { op.apply(reset) })
+		reset.Reset()
+		fresh := NewCache("fresh", cfg)
+		step := 0
+		randomOps(r, 5000, func(op cacheOp) {
+			if got, want := op.apply(reset), op.apply(fresh); got != want {
+				t.Fatalf("seed %d step %d %+v: reset cache %+v, fresh cache %+v", seed, step, op, got, want)
+			}
+			step++
+		})
+		gh, gm, ge, gw := reset.Stats()
+		wh, wm, we, ww := fresh.Stats()
+		if [4]uint64{gh, gm, ge, gw} != [4]uint64{wh, wm, we, ww} {
+			t.Fatalf("seed %d: stats after reset %v, fresh %v", seed, [4]uint64{gh, gm, ge, gw}, [4]uint64{wh, wm, we, ww})
+		}
+	}
+}
+
+// cacheOp is one random cache operation; kind selects the method.
+type cacheOp struct {
+	kind           int
+	addr           uint64
+	write, persist bool
+}
+
+// cacheOutcome is everything one operation reports.
+type cacheOutcome struct {
+	hit, had bool
+	victim   Victim
+}
+
+func (op cacheOp) apply(c *Cache) cacheOutcome {
+	var out cacheOutcome
+	switch op.kind {
+	case 0:
+		if out.hit = c.Access(op.addr, op.write, op.persist); !out.hit {
+			out.victim, out.had = c.Fill(op.addr, op.write, op.persist)
+		}
+	case 1:
+		if out.hit = c.AccessRead(op.addr); !out.hit {
+			out.victim, out.had = c.Fill(op.addr, false, false)
+		}
+	case 2:
+		if out.hit = c.AccessWrite(op.addr); !out.hit {
+			out.victim, out.had = c.Fill(op.addr, true, false)
+		}
+	case 3:
+		if out.hit = c.AccessPersist(op.addr); !out.hit {
+			out.victim, out.had = c.Fill(op.addr, true, true)
+		}
+	case 4:
+		out.had = c.Invalidate(op.addr)
+	default:
+		out.hit = c.Lookup(op.addr)
+	}
+	return out
+}
+
+// randomOps feeds n random operations over 4x the cache's capacity to
+// fn, so sets fill, evict and drain again.
+func randomOps(r *xrand.Rand, n int, fn func(cacheOp)) {
+	const blocks = 256
+	for i := 0; i < n; i++ {
+		fn(cacheOp{
+			kind:    r.Intn(6),
+			addr:    uint64(r.Intn(blocks)) * 64,
+			write:   r.Intn(2) == 0,
+			persist: r.Intn(2) == 0,
+		})
+	}
+}

@@ -143,25 +143,22 @@ func NewController(cfg config.Config, key []byte) (*Controller, error) {
 		cfg:    cfg,
 		secure: cfg.Scheme.Secure(),
 		pm:     NewPM(cfg.PMSizeBytes),
-		wpq:    NewWPQ(cfg.WPQEntries),
 	}
 	c.armFault()
-	if !c.secure {
-		return c, nil
+	if c.secure {
+		eng, err := crypto.NewEngine(key)
+		if err != nil {
+			return nil, err
+		}
+		tree, err := bmt.New(eng, cfg.BMTLevels)
+		if err != nil {
+			return nil, err
+		}
+		c.eng = eng
+		c.tree = tree
+		c.ctrs = meta.NewCounterStore()
+		c.macs = meta.NewMACStore()
 	}
-	eng, err := crypto.NewEngine(key)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := bmt.New(eng, cfg.BMTLevels)
-	if err != nil {
-		return nil, err
-	}
-	c.eng = eng
-	c.tree = tree
-	c.ctrs = meta.NewCounterStore()
-	c.macs = meta.NewMACStore()
-	c.stagedIx = ptable.New[int32]()
 	c.initVolatile()
 	return c, nil
 }
@@ -185,10 +182,43 @@ func (c *Controller) armFault() {
 	}))
 }
 
-// initVolatile builds the controller's volatile structures: the metadata
-// caches and the BMF height model. Both a fresh controller and one
-// restored from a crash snapshot start with them cold.
+// initVolatile brings the controller's volatile state to its cold
+// power-on values: an empty WPQ, no staged tuples, no re-encryption
+// hooks or crash sink, zeroed media and re-encryption counters, and
+// empty metadata caches and BMF root cache. The first call allocates the
+// structures; later calls (Reboot) reset them in place, which leaves
+// each one observationally equal to a freshly allocated one.
 func (c *Controller) initVolatile() {
+	if c.wpq == nil {
+		c.wpq = NewWPQ(c.cfg.WPQEntries)
+	} else {
+		c.wpq.Reset()
+	}
+	c.onReencrypt = nil
+	c.sink = nil
+	c.inReencrypt = false
+	c.reencrypts = 0
+	c.media = MediaStats{}
+	if !c.secure {
+		return
+	}
+	c.staged = c.staged[:0]
+	c.stagedFlushes, c.stagedCoalesced = 0, 0
+	if c.stagedIx == nil {
+		c.stagedIx = ptable.New[int32]()
+	} else {
+		c.stagedIx.Reset()
+	}
+	if c.heights != nil {
+		// A reboot: empty the caches in place. A unified metadata cache
+		// is one structure behind all three fields; resetting it three
+		// times is harmless.
+		c.ctrCache.Reset()
+		c.macCache.Reset()
+		c.bmtCache.Reset()
+		c.heights.Reset()
+		return
+	}
 	cfg := c.cfg
 	if cfg.UnifiedMDC {
 		// One shared structure with the three caches' combined capacity;
@@ -211,42 +241,56 @@ func (c *Controller) initVolatile() {
 	c.heights = bmt.NewHeightModel(cfg)
 }
 
-// Restore rebuilds a secure controller around the NV state captured at a
+// Restore builds a secure controller around the NV state captured at a
 // crash point: the PM image, storage counters, MACs, and the BMT with
-// its root register. The caller owns the passed stores (they are adopted,
-// not copied). Volatile state — the metadata caches, the WPQ occupancy,
-// the crypto engine's derived-key schedule — is rebuilt cold, exactly as
-// a post-crash memory controller would come up; the tree is re-homed on
-// the fresh crypto engine, which hashes identically for the same key.
-// The device's bad-block table is validated against its checksum before
-// the image is trusted (a corrupted table would silently redirect
-// blocks); a mismatch returns a *CorruptStateError.
+// its root register. It allocates a controller shell with a fresh
+// crypto engine for key and boots it with Reboot, so a restored
+// controller and a rebooted one come up through the same cold-start
+// path. The caller owns the passed stores (they are adopted, not
+// copied); a corrupt bad-block table returns a *CorruptStateError.
 func Restore(cfg config.Config, key []byte, pm *PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) (*Controller, error) {
 	if !cfg.Scheme.Secure() {
 		return nil, fmt.Errorf("nvm: Restore requires a secure scheme, got %v", cfg.Scheme)
-	}
-	if err := pm.CheckBadBlocks(); err != nil {
-		return nil, err
 	}
 	eng, err := crypto.NewEngine(key)
 	if err != nil {
 		return nil, err
 	}
-	tree.SetHasher(eng)
-	c := &Controller{
-		cfg:    cfg,
-		secure: true,
-		pm:     pm,
-		wpq:    NewWPQ(cfg.WPQEntries),
-		eng:    eng,
-		tree:   tree,
-		ctrs:   ctrs,
-		macs:   macs,
+	c := &Controller{cfg: cfg, secure: true, eng: eng}
+	if err := c.Reboot(pm, ctrs, macs, tree); err != nil {
+		return nil, err
 	}
-	c.stagedIx = ptable.New[int32]()
+	return c, nil
+}
+
+// Reboot power-cycles a secure controller onto an NV image: the PM
+// device, storage counters, MACs, and the BMT with its root register.
+// The device's bad-block table is validated against its checksum before
+// the image is trusted (a corrupted table would silently redirect
+// blocks); a mismatch returns a *CorruptStateError and leaves the
+// controller as it was. Otherwise the stores are adopted (not copied),
+// the tree is re-homed on the controller's crypto engine (which hashes
+// identically for the same key), the media-fault injector is re-armed
+// when the config enables one, and every volatile structure comes up
+// cold (initVolatile) — exactly as a post-crash memory controller
+// would. Drain tuples still staged against the previous image are
+// dropped with it: a caller rebooting onto the controller's own image
+// reads the stores through PM and MACs first, which materializes them.
+// The controller keeps its configuration, key and engine, so a
+// rebooted controller is indistinguishable from Restore(cfg, key, ...)
+// on the same image.
+func (c *Controller) Reboot(pm *PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) error {
+	if !c.secure {
+		return fmt.Errorf("nvm: Reboot requires a secure scheme, got %v", c.cfg.Scheme)
+	}
+	if err := pm.CheckBadBlocks(); err != nil {
+		return err
+	}
+	tree.SetHasher(c.eng)
+	c.pm, c.ctrs, c.macs, c.tree = pm, ctrs, macs, tree
 	c.armFault()
 	c.initVolatile()
-	return c, nil
+	return nil
 }
 
 // SetCrashSink installs (or, with nil, removes) the crash-injection sink

@@ -246,12 +246,18 @@ func (p *PM) Peek(b addr.Block) ([addr.BlockBytes]byte, bool) {
 // Blocks returns the addresses of all written blocks in ascending
 // address order.
 func (p *PM) Blocks() []addr.Block {
-	out := make([]addr.Block, 0, p.data.Len())
+	return p.AppendBlocks(make([]addr.Block, 0, p.data.Len()))
+}
+
+// AppendBlocks appends the addresses of all written blocks to dst in
+// ascending address order and returns the extended slice, so a caller
+// that lists the image repeatedly can reuse one buffer.
+func (p *PM) AppendBlocks(dst []addr.Block) []addr.Block {
 	p.data.Range(func(idx uint64, _ *[addr.BlockBytes]byte) bool {
-		out = append(out, addr.FromIndex(idx))
+		dst = append(dst, addr.FromIndex(idx))
 		return true
 	})
-	return out
+	return dst
 }
 
 // Len returns the number of written blocks.

@@ -23,6 +23,10 @@ func NewWPQ(entries int) *WPQ {
 	return &WPQ{capacity: entries}
 }
 
+// Reset empties the queue and zeroes its statistics, keeping the
+// capacity: the state NewWPQ returns.
+func (w *WPQ) Reset() { *w = WPQ{capacity: w.capacity} }
+
 // Accept records one 64B write entering the WPQ. If the queue is full,
 // the oldest write retires first (the device absorbs it) and the event
 // counts as backpressure.

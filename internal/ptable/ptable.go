@@ -220,6 +220,21 @@ func (t *Table[T]) Keys() []uint64 {
 	return out
 }
 
+// Reset empties the table in place and keeps its pages: every present
+// slot is zeroed and its presence bit cleared, and the overflow map is
+// emptied. Afterwards the table is observationally identical to New():
+// Len is zero, no key is present, and GetOrCreate of any key yields a
+// zero value. Pointers previously obtained for direct-indexed keys now
+// address zeroed absent slots.
+func (t *Table[T]) Reset() {
+	var none [bmWords]uint64
+	for _, d := range t.used {
+		t.dir[d].dropAbsent(&none)
+	}
+	clear(t.overflow)
+	t.n = 0
+}
+
 // Clone deep-copies the table (values are copied by assignment).
 func (t *Table[T]) Clone() *Table[T] { return t.CopyInto(nil) }
 

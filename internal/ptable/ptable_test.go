@@ -292,3 +292,34 @@ func FuzzTableVsMap(f *testing.F) {
 		}
 	})
 }
+
+// TestResetMatchesNew resets a table holding keys in several pages and
+// past maxDirect: it must be indistinguishable from New — no key
+// present, zero from GetOrCreate of every old key — and, refilled, from
+// a fresh table given the same writes.
+func TestResetMatchesNew(t *testing.T) {
+	keys := []uint64{0, 1, 63, 64, 511, 512, 5000, 1 << 20, maxDirect + 3, maxDirect + 1<<40}
+	tab := New[uint64]()
+	for _, k := range keys {
+		tab.Put(k, ^k)
+	}
+	old := tab.Lookup(5000)
+	tab.Reset()
+	assertSameTable(t, tab, New[uint64](), keys)
+	if *old != 0 {
+		t.Fatalf("a pointer taken before Reset reads %d, want a zeroed slot", *old)
+	}
+	for _, k := range keys {
+		p, created := tab.GetOrCreate(k)
+		if !created || *p != 0 {
+			t.Fatalf("GetOrCreate(%d) after Reset = %d created=%v, want fresh zero", k, *p, created)
+		}
+	}
+	tab.Reset()
+	fresh := New[uint64]()
+	for _, k := range []uint64{2, 600, 5001, maxDirect + 3} {
+		tab.Put(k, k+1)
+		fresh.Put(k, k+1)
+	}
+	assertSameTable(t, tab, fresh, keys)
+}

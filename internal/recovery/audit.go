@@ -2,10 +2,10 @@ package recovery
 
 import (
 	"fmt"
-	"slices"
 
 	"secpb/internal/addr"
 	"secpb/internal/bmt"
+	"secpb/internal/crypto"
 	"secpb/internal/nvm"
 )
 
@@ -36,36 +36,61 @@ func (a AuditReport) String() string {
 // touched counter line's path to the on-chip BMT root. This is the
 // recovery-time integrity pass at full scope — a per-block FetchBlock
 // only checks one path; the audit proves the whole image is mutually
-// consistent before the system exposes it to the crash observer.
+// consistent before the system exposes it to the crash observer. It is
+// a one-shot Auditor's Audit.
 func AuditImage(mc *nvm.Controller) (AuditReport, error) {
+	var a Auditor
+	return a.Audit(mc)
+}
+
+// Auditor runs AuditImage's audit with scratch that survives from one
+// audit to the next: the block and page lists and the tree the root
+// reconstruction replays into. A caller auditing image after image (the
+// crash matrix audits one per crash point) keeps one Auditor, and every
+// audit after the first resets the replay tree in place instead of
+// building a new one. The zero value is ready; an Auditor is not safe
+// for concurrent use.
+type Auditor struct {
+	blocks  []addr.Block
+	pages   []uint64 // counter lines with data, ascending
+	replay  []uint64 // the subset of pages holding counters
+	lineBuf []byte
+	tree    *bmt.Tree
+	hasher  *crypto.Engine // the engine tree was built on
+}
+
+// Audit runs the full-image audit over mc (see AuditImage).
+func (a *Auditor) Audit(mc *nvm.Controller) (AuditReport, error) {
 	var rep AuditReport
 	if !mc.Secure() {
 		return rep, fmt.Errorf("recovery: audit requires a secure controller")
 	}
 	eng := mc.Engine()
-	pages := map[uint64]bool{}
-	for _, b := range sortedPMBlocks(mc) {
+	pm, ctrs, macs := mc.PM(), mc.Counters(), mc.MACs()
+	a.blocks = pm.AppendBlocks(a.blocks[:0])
+	a.pages = a.pages[:0]
+	for _, b := range a.blocks {
 		rep.Blocks++
-		ct, _ := mc.PM().Peek(b)
-		ctr := mc.Counters().Value(b)
+		ct, _ := pm.Peek(b)
+		ctr := ctrs.Value(b)
 		want := eng.MAC(&ct, b.Addr(), ctr)
-		if err := mc.MACs().Verify(b, want); err != nil {
+		if err := macs.Verify(b, want); err != nil {
 			rep.MACFailures++
 			if rep.FirstBad == "" {
 				rep.FirstBad = err.Error()
 			}
 		}
-		pages[b.CounterLine()] = true
+		// Blocks ascend, so their counter lines do too: the page list
+		// comes out sorted and deduplicated, which fixes the audit
+		// order (and FirstBad).
+		if page := b.CounterLine(); len(a.pages) == 0 || a.pages[len(a.pages)-1] != page {
+			a.pages = append(a.pages, page)
+		}
 	}
-	pageList := make([]uint64, 0, len(pages))
-	for page := range pages {
-		pageList = append(pageList, page)
-	}
-	slices.Sort(pageList) // deterministic audit order (and FirstBad)
-	replay := make([]uint64, 0, len(pageList))
-	for _, page := range pageList {
+	a.replay = a.replay[:0]
+	for _, page := range a.pages {
 		rep.CounterLines++
-		line, ok := mc.Counters().Peek(page)
+		line, ok := ctrs.Peek(page)
 		if !ok {
 			rep.TreeFailures++
 			if rep.FirstBad == "" {
@@ -73,8 +98,9 @@ func AuditImage(mc *nvm.Controller) (AuditReport, error) {
 			}
 			continue
 		}
-		replay = append(replay, page)
-		if err := mc.Tree().Verify(page, line.Bytes()); err != nil {
+		a.replay = append(a.replay, page)
+		a.lineBuf = line.AppendBytes(a.lineBuf[:0])
+		if err := mc.Tree().Verify(page, a.lineBuf); err != nil {
 			rep.TreeFailures++
 			if rep.FirstBad == "" {
 				rep.FirstBad = err.Error()
@@ -83,24 +109,31 @@ func AuditImage(mc *nvm.Controller) (AuditReport, error) {
 	}
 
 	// Root reconstruction: the recovery-time replay. Every persisted
-	// counter line is replayed into a fresh tree through one coalesced
+	// counter line is replayed into an empty tree through one coalesced
 	// UpdateBatch sweep, and the rebuilt root must equal the NV root
 	// register. The per-path checks above trust the stored interior
 	// nodes they traverse; the replay proves the register is derivable
 	// from the persisted counters alone, so a crash path that persisted
 	// data without completing its tree updates (the recoverability gap)
-	// cannot audit clean.
-	rebuilt, err := bmt.New(eng, mc.Tree().Height())
-	if err != nil {
-		return rep, fmt.Errorf("recovery: replay tree: %w", err)
+	// cannot audit clean. The replay tree is the previous audit's, reset,
+	// when it was built on the same engine at the same height: Reset
+	// leaves it equal to a new one, default-hash chain included.
+	height := mc.Tree().Height()
+	if a.tree != nil && a.hasher == eng && a.tree.Height() == height {
+		a.tree.Reset()
+	} else {
+		t, err := bmt.New(eng, height)
+		if err != nil {
+			return rep, fmt.Errorf("recovery: replay tree: %w", err)
+		}
+		a.tree, a.hasher = t, eng
 	}
-	var lineBuf []byte
-	rebuilt.UpdateBatch(replay, func(page uint64) []byte {
-		line, _ := mc.Counters().Peek(page)
-		lineBuf = line.AppendBytes(lineBuf[:0])
-		return lineBuf
+	a.tree.UpdateBatch(a.replay, func(page uint64) []byte {
+		line, _ := ctrs.Peek(page)
+		a.lineBuf = line.AppendBytes(a.lineBuf[:0])
+		return a.lineBuf
 	})
-	if rebuilt.Root() != mc.Tree().Root() {
+	if a.tree.Root() != mc.Tree().Root() {
 		rep.TreeFailures++
 		if rep.FirstBad == "" {
 			rep.FirstBad = "replayed counter lines do not reproduce the root register"

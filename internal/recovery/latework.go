@@ -38,10 +38,21 @@ type Journal struct {
 // NewJournal captures the entries (copied; the caller's slice is not
 // retained) and seals the initial checksum.
 func NewJournal(entries []core.Entry) *Journal {
-	j := &Journal{entries: append([]core.Entry(nil), entries...)}
+	j := new(Journal)
+	j.Reset(entries)
+	return j
+}
+
+// Reset re-captures the journal over entries exactly as NewJournal
+// does — copied, cursor at zero, freshly sealed — reusing the journal's
+// entry storage, so a caller recovering crash point after crash point
+// keeps one journal.
+func (j *Journal) Reset(entries []core.Entry) {
+	j.entries = append(j.entries[:0], entries...)
+	j.done = 0
+	j.sweepDone = false
 	j.entrySum = hashEntries(fnvOffset, j.entries)
 	j.seal()
-	return j
 }
 
 // Len returns the total number of journaled entries.

@@ -21,11 +21,12 @@ go test -race ./...
 
 # Exact-zero allocation pins for the kernel hot paths, plus the
 # steady-state bounds of the crash-point capture (snapshot stores
-# recycle, so a capture allocates less than one table page) and of
-# RunBatch (one batch buffer per call). These carry a !race build tag —
-# race instrumentation allocates on its own — so they need this
-# uninstrumented pass to run at all.
-go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RunBatchSteadyStateAlloc' . \
+# recycle, so a capture allocates less than one table page), of
+# crash-point recovery (the controller reboots in place, so RecoverVerify
+# allocates under 8 KiB per point) and of RunBatch (one batch buffer per
+# call). These carry a !race build tag — race instrumentation allocates
+# on its own — so they need this uninstrumented pass to run at all.
+go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|RunBatchSteadyStateAlloc' . \
     ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/ ./internal/engine/
 
 # Benchmarks must at least compile and run one iteration: the perf
