@@ -253,11 +253,19 @@ func (t *Tree) Sweep() int {
 	}
 	t.forgetVerified() // the sweep rewrites stored nodes and the root
 	n := 0
+	// Leaves are hashed in ascending index order, not map order, so a
+	// sweep's sequence of hasher calls is a function of the staged
+	// updates alone (a memoizing hasher's hit counts then reproduce).
 	idxs := t.sweepIdx[:0]
-	for idx, line := range t.pending {
+	for idx := range t.pending {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for i, idx := range idxs {
+		line := t.pending[idx]
 		t.levels[0].Put(idx, t.LeafHash(line))
 		n++
-		idxs = append(idxs, idx/Arity)
+		idxs[i] = idx / Arity
 		t.freeLines = append(t.freeLines, line)
 		delete(t.pending, idx)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"secpb/internal/addr"
 	"secpb/internal/bmt"
+	"secpb/internal/crypto"
 	"secpb/internal/energy"
 	"secpb/internal/meta"
 	"secpb/internal/nvm"
@@ -37,15 +38,33 @@ func (v *VerifyResult) fail(msg string) {
 
 // recoverer is the recovery state a Snapshot keeps from one crash point
 // to the next, beside its recycled stores: the controller every
-// recovery reboots onto the captured image, the late-work journal, and
-// the verification scratch. Each recovery overwrites all of it before
-// reading it — Reboot brings the controller up cold, Reset re-captures
-// the journal — so recycling it changes no finding.
+// recovery reboots onto the captured image, the late-work journal, the
+// verification scratch, and the hash memo on the controller's engine.
+// Each recovery overwrites all but the memo before reading it — Reboot
+// brings the controller up cold, Reset re-captures the journal — and a
+// memo hit is the hash a fresh computation returns, so recycling any of
+// it changes no finding.
 type recoverer struct {
 	mc      *nvm.Controller
 	journal recovery.Journal
 	verifier
+	// memo serves the recovery engine's MACs and node hashes for the
+	// whole cell: consecutive crash images share almost every block,
+	// counter line and tree node, so the checker re-authenticates each
+	// distinct input with one SHA-512 compression per cell instead of
+	// one per point.
+	memo *crypto.HashMemo
+	// noMemo boots the controller without a memo; tests set it to
+	// compare findings with and without one.
+	noMemo bool
 }
+
+// memoSlots sizes each of the recovery memo's two tables (MAC and node
+// hash). A 2,000-op, 120-point kvstore cell hashes about 230 distinct
+// MAC inputs and 940 distinct node inputs; at 1024 slots, collisions
+// cost it about five points of hit rate, and twice the slots bought no
+// measurable crash-matrix speed for the extra memory.
+const memoSlots = 1024
 
 // verifier is verifyImage's scratch, reused across images: the audit's
 // lists and replay tree, and the persisted, golden and lost block lists.
@@ -57,12 +76,17 @@ type verifier struct {
 }
 
 // boot power-cycles the snapshot's recovery controller onto an NV
-// image, building the controller on the snapshot's first recovery.
+// image, building the controller — and attaching the hash memo to its
+// engine — on the snapshot's first recovery.
 func (s *Snapshot) boot(pm *nvm.PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) (*nvm.Controller, error) {
 	if s.rec.mc == nil {
 		mc, err := nvm.Restore(s.cfg, s.key, pm, ctrs, macs, tree)
 		if err != nil {
 			return nil, err
+		}
+		if !s.rec.noMemo {
+			s.rec.memo = crypto.NewHashMemo(memoSlots)
+			mc.Engine().SetMemo(s.rec.memo)
 		}
 		s.rec.mc = mc
 		return mc, nil

@@ -28,3 +28,26 @@ func TestMACIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("MACInto allocates: %g allocs/op", avg)
 	}
 }
+
+// TestMemoizedHashZeroAlloc pins the memoized MAC and node hash to zero
+// heap allocations, on hits and on misses: the memo's tables and key
+// scratch are allocated when it is built.
+func TestMemoizedHashZeroAlloc(t *testing.T) {
+	e, err := NewEngine([]byte("alloc test key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetMemo(NewHashMemo(16))
+	var cipher [CacheLineSize]byte
+	var mac [MACSize]byte
+	node := make([]byte, 72)
+	ctr := uint64(0)
+	if avg := testing.AllocsPerRun(20_000, func() {
+		e.MACInto(&mac, &cipher, 0x40*(ctr%32), ctr%32)
+		node[0] = byte(ctr % 32)
+		e.HashNode(node)
+		ctr++
+	}); avg != 0 {
+		t.Fatalf("memoized hashing allocates: %g allocs/op", avg)
+	}
+}

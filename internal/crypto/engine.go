@@ -52,6 +52,10 @@ type Engine struct {
 	// models one hardware unit and is not concurrency-safe.
 	otpSeed [BlockSize]byte
 	otpPad  [CacheLineSize]byte
+	// memo, when set, answers MACs and node hashes whose full input it
+	// has already hashed (see HashMemo). Only crash-recovery checkers
+	// attach one; every other engine leaves it nil.
+	memo *HashMemo
 }
 
 // derived is the cacheable, immutable part of an engine: the expanded
@@ -222,8 +226,17 @@ func (e *Engine) MAC(cipher *[CacheLineSize]byte, blockAddr, counter uint64) [MA
 // callers whose tag destination already exists (per-store early MAC
 // regeneration writes straight into the entry's M field).
 func (e *Engine) MACInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockAddr, counter uint64) {
+	if e.memo != nil {
+		e.memo.macInto(e, dst, cipher, blockAddr, counter)
+		return
+	}
+	e.macInto(dst, cipher, blockAddr, counter)
+}
+
+// macInto computes the tag without consulting the memo.
+func (e *Engine) macInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockAddr, counter uint64) {
 	if e.fastOK {
-		var tail [16 + CacheLineSize]byte
+		var tail [macTailLen]byte
 		binary.LittleEndian.PutUint64(tail[0:], blockAddr)
 		binary.LittleEndian.PutUint64(tail[8:], counter)
 		copy(tail[16:], cipher[:])
@@ -232,6 +245,18 @@ func (e *Engine) MACInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockA
 		}
 	}
 	*dst = e.MACReference(cipher, blockAddr, counter)
+}
+
+// SetMemo attaches a hash memo to the engine, or detaches it with nil.
+// From then on MAC, MACInto and HashNode answer from the memo whenever
+// it holds their exact input, and fill it otherwise. A memo last used
+// under a different key is emptied first. Memoized results are
+// bit-identical to direct ones, so attaching a memo changes no output.
+func (e *Engine) SetMemo(m *HashMemo) {
+	if m != nil {
+		m.bind(&e.macKey)
+	}
+	e.memo = m
 }
 
 // MACReference computes the same tag as MAC on the hand-rolled SHA512,
@@ -258,6 +283,14 @@ func (e *Engine) MACReference(cipher *[CacheLineSize]byte, blockAddr, counter ui
 // single-compression fast path; longer inputs stream through the stdlib
 // digest from the same midstate.
 func (e *Engine) HashNode(children []byte) [Size512]byte {
+	if e.memo != nil {
+		return e.memo.hashNode(e, children)
+	}
+	return e.hashNode(children)
+}
+
+// hashNode computes the digest without consulting the memo.
+func (e *Engine) hashNode(children []byte) [Size512]byte {
 	if e.fastOK {
 		var out [Size512]byte
 		if len(children) <= maxOneBlockTail {

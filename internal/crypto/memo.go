@@ -1,0 +1,171 @@
+package crypto
+
+import (
+	"bytes"
+	"encoding/binary"
+)
+
+// macTailLen is the MAC input after the key block: address, counter and
+// ciphertext.
+const macTailLen = 16 + CacheLineSize
+
+// MemoNodeInputMax is the longest node-hash input a HashMemo holds: a
+// serialized counter line (8 major-counter bytes plus one minor byte per
+// block of a page, 72 bytes) — the BMT's leaf input. Interior nodes
+// (Arity × 8-byte digests) are 64 bytes. A longer input bypasses the
+// memo and is hashed directly.
+const MemoNodeInputMax = 72
+
+// HashMemo is a full-input memo of an engine's keyed hashes: it maps a
+// MAC input (address, counter, ciphertext) to its tag and a node-hash
+// input to its digest. A crash checker recovers one image after another
+// that differ in a handful of blocks, so most of what it authenticates —
+// per-block MACs, counter-line leaves, interior nodes — it has already
+// hashed at an earlier crash point.
+//
+// A hit requires the whole input to equal, byte for byte, one the memo
+// hashed under the same engine key, so the stored output is exactly
+// what a fresh computation returns: a memo trusts no earlier verdict,
+// only the determinism of SHA-512. Callers still compare every tag and
+// digest they would compare without it.
+//
+// The tables are direct-mapped and preallocated: a deterministic mix of
+// the input picks one slot, a collision evicts the slot's occupant, and
+// nothing grows, so a memo allocates only when it is built and its hit
+// and miss counts are a pure function of the call sequence. A HashMemo
+// serves one engine at a time (Engine.SetMemo) and, like the engine,
+// is not safe for concurrent use.
+type HashMemo struct {
+	mac     []macSlot
+	node    []nodeSlot
+	shift   uint // 64 - log2(table length)
+	key     [32]byte
+	keyed   bool
+	stats   MemoStats
+	scratch [macTailLen]byte
+}
+
+type macSlot struct {
+	used bool
+	in   [macTailLen]byte
+	out  [MACSize]byte
+}
+
+type nodeSlot struct {
+	used bool
+	n    uint8
+	in   [MemoNodeInputMax]byte
+	out  [Size512]byte
+}
+
+// MemoStats counts a HashMemo's lookups since it was built or last
+// bound to a new key. Every MAC call through a memoized engine is a MAC
+// hit or miss; every node hash is a node hit, a node miss, or (for
+// inputs longer than MemoNodeInputMax) a bypass.
+type MemoStats struct {
+	MACHits, MACMisses   uint64
+	NodeHits, NodeMisses uint64
+	NodeBypasses         uint64
+}
+
+// Served returns the share of all memoized-engine hash calls answered
+// from the memo.
+func (s MemoStats) Served() float64 {
+	calls := s.MACHits + s.MACMisses + s.NodeHits + s.NodeMisses + s.NodeBypasses
+	if calls == 0 {
+		return 0
+	}
+	return float64(s.MACHits+s.NodeHits) / float64(calls)
+}
+
+// NewHashMemo builds a memo whose MAC and node tables each hold slots
+// entries, rounded up to a power of two (minimum one).
+func NewHashMemo(slots int) *HashMemo {
+	b := uint(0)
+	for 1<<b < slots {
+		b++
+	}
+	return &HashMemo{
+		mac:   make([]macSlot, 1<<b),
+		node:  make([]nodeSlot, 1<<b),
+		shift: 64 - b,
+	}
+}
+
+// Stats returns the memo's lookup counts.
+func (m *HashMemo) Stats() MemoStats { return m.stats }
+
+// reset empties the memo and zeroes its counts, keeping its tables.
+func (m *HashMemo) reset() {
+	clear(m.mac)
+	clear(m.node)
+	m.stats = MemoStats{}
+	m.keyed = false
+}
+
+// bind ties the memo to an engine key. Entries computed under another
+// key would be wrong outputs under this one, so a memo moving to an
+// engine with a different key starts empty.
+func (m *HashMemo) bind(key *[32]byte) {
+	if m.keyed && m.key == *key {
+		return
+	}
+	m.reset()
+	m.key, m.keyed = *key, true
+}
+
+// mix folds an input into a slot index for a table addressed with the
+// top (64 - shift) bits: seeded with the length, so equal-prefix inputs
+// of different lengths land apart, then whole little-endian words, then
+// any trailing bytes. It depends on the bytes alone: the same call
+// sequence always fills the same slots.
+func mix(in []byte, shift uint) uint64 {
+	h := uint64(len(in)) * 0x9E3779B97F4A7C15
+	for len(in) >= 8 {
+		h = (h ^ binary.LittleEndian.Uint64(in)) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
+		in = in[8:]
+	}
+	for _, b := range in {
+		h = (h ^ uint64(b)) * 0x94D049BB133111EB
+	}
+	h ^= h >> 29
+	h *= 0xBF58476D1CE4E5B9
+	return h >> shift
+}
+
+// macInto is MACInto through the memo.
+func (m *HashMemo) macInto(e *Engine, dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockAddr, counter uint64) {
+	in := &m.scratch
+	binary.LittleEndian.PutUint64(in[0:], blockAddr)
+	binary.LittleEndian.PutUint64(in[8:], counter)
+	copy(in[16:], cipher[:])
+	s := &m.mac[mix(in[:], m.shift)]
+	if s.used && s.in == *in {
+		m.stats.MACHits++
+		*dst = s.out
+		return
+	}
+	m.stats.MACMisses++
+	e.macInto(&s.out, cipher, blockAddr, counter)
+	s.in, s.used = *in, true
+	*dst = s.out
+}
+
+// hashNode is HashNode through the memo.
+func (m *HashMemo) hashNode(e *Engine, children []byte) [Size512]byte {
+	if len(children) > MemoNodeInputMax {
+		m.stats.NodeBypasses++
+		return e.hashNode(children)
+	}
+	s := &m.node[mix(children, m.shift)]
+	if s.used && int(s.n) == len(children) && bytes.Equal(s.in[:s.n], children) {
+		m.stats.NodeHits++
+		return s.out
+	}
+	m.stats.NodeMisses++
+	s.out = e.hashNode(children)
+	s.n = uint8(copy(s.in[:], children))
+	s.used = true
+	return s.out
+}

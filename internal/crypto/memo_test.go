@@ -1,0 +1,132 @@
+package crypto
+
+import (
+	"bytes"
+	"testing"
+)
+
+// memoScriptInputs decodes one step of a FuzzHashMemoVsDirect script.
+// Inputs come from small pools so that a script revisits them (hits)
+// and overflows a tiny table with distinct ones (evictions):
+//   - op%3 == 0: a MAC over one of four addresses, four counters and
+//     four ciphertexts, so the same address recurs under different
+//     counters and the same (address, counter) under different data;
+//   - op%3 == 1: a node input of 0, 8, 64, 71 or 72 bytes whose
+//     content is one of four patterns, so equal lengths carry
+//     different bytes and equal prefixes carry different lengths;
+//   - op%3 == 2: a node input longer than MemoNodeInputMax, which
+//     must bypass the memo.
+func memoScriptInputs(op, arg byte) (kind int, ct [CacheLineSize]byte, a, c uint64, node []byte) {
+	kind = int(op % 3)
+	switch kind {
+	case 0:
+		for i := range ct {
+			ct[i] = byte(i) ^ (op>>2&3)*0x55
+		}
+		a = uint64(arg&3) << 6
+		c = uint64(arg >> 2 & 3)
+	case 1:
+		n := []int{0, 8, 64, 71, MemoNodeInputMax}[int(arg)%5]
+		node = bytes.Repeat([]byte{op >> 2 & 3}, n)
+		if n > 0 {
+			node[n-1] ^= arg >> 5
+		}
+	default:
+		node = bytes.Repeat([]byte{arg}, MemoNodeInputMax+1+int(op>>2))
+	}
+	return kind, ct, a, c, node
+}
+
+// FuzzHashMemoVsDirect drives a memoized engine with a two-slot memo
+// and a plain engine under the same key through the same script of
+// MACs and node hashes: every output must agree, and the memo's counts
+// must account for every call — MACs and short node inputs as a hit or
+// a miss, long node inputs as a bypass.
+func FuzzHashMemoVsDirect(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 0, 8, 0, 0, 0, 4, 0, 8})             // one address, three counters, replayed
+	f.Add([]byte{0, 1, 4, 1, 8, 1, 12, 1, 0, 1, 4, 1})            // one (address, counter), four ciphertexts
+	f.Add([]byte{1, 2, 5, 2, 9, 2, 13, 2, 1, 2, 5, 2, 1, 34})     // 64-byte nodes, four contents
+	f.Add([]byte{1, 3, 1, 4, 1, 3, 1, 4, 1, 0, 1, 1})             // 71- vs 72-byte, empty, 8-byte
+	f.Add([]byte{2, 0, 6, 7, 2, 0, 1, 4, 2, 9, 0, 2})             // over-long inputs interleaved
+	f.Add([]byte{0, 255, 1, 255, 2, 255, 0, 255, 1, 255, 3, 254}) // mixed, mostly evicting
+	f.Fuzz(func(t *testing.T, script []byte) {
+		key := []byte("memo fuzz key")
+		direct, err := NewEngine(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memoized, err := NewEngine(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewHashMemo(2)
+		memoized.SetMemo(m)
+		var macs, nodes, long uint64
+		for ; len(script) >= 2; script = script[2:] {
+			kind, ct, a, c, node := memoScriptInputs(script[0], script[1])
+			switch kind {
+			case 0:
+				macs++
+				var got, want [MACSize]byte
+				memoized.MACInto(&got, &ct, a, c)
+				direct.MACInto(&want, &ct, a, c)
+				if got != want {
+					t.Fatalf("MAC(addr %#x, ctr %d) differs through the memo", a, c)
+				}
+			default:
+				if len(node) > MemoNodeInputMax {
+					long++
+				} else {
+					nodes++
+				}
+				if memoized.HashNode(node) != direct.HashNode(node) {
+					t.Fatalf("HashNode(%d bytes) differs through the memo", len(node))
+				}
+			}
+		}
+		s := m.Stats()
+		if s.MACHits+s.MACMisses != macs || s.NodeHits+s.NodeMisses != nodes || s.NodeBypasses != long {
+			t.Fatalf("memo counts %+v do not account for %d MACs, %d node hashes, %d long inputs", s, macs, nodes, long)
+		}
+	})
+}
+
+// TestHashMemoRebindsOnKeyChange moves a warm memo to an engine under a
+// different key: it must start empty there, so no tag or digest
+// computed under the first key is ever returned under the second.
+func TestHashMemoRebindsOnKeyChange(t *testing.T) {
+	e1, err := NewEngine([]byte("memo key one"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := NewEngine([]byte("memo key two"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain2, err := NewEngine([]byte("memo key two"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewHashMemo(16)
+	var ct [CacheLineSize]byte
+	node := make([]byte, 64)
+	e1.SetMemo(m)
+	e1.MAC(&ct, 0x40, 3)
+	e1.HashNode(node)
+	e2.SetMemo(m)
+	if s := m.Stats(); s != (MemoStats{}) {
+		t.Fatalf("memo kept counts across a key change: %+v", s)
+	}
+	if e2.MAC(&ct, 0x40, 3) != plain2.MAC(&ct, 0x40, 3) || e2.HashNode(node) != plain2.HashNode(node) {
+		t.Fatal("memo returned an output computed under another key")
+	}
+	if s := m.Stats(); s.MACHits != 0 || s.NodeHits != 0 {
+		t.Fatalf("memo hit across a key change: %+v", s)
+	}
+	// Re-attaching under the same key keeps the memo warm.
+	e2.SetMemo(m)
+	e2.MAC(&ct, 0x40, 3)
+	if s := m.Stats(); s.MACHits != 1 {
+		t.Fatalf("same-key re-attach dropped the memo: %+v", s)
+	}
+}

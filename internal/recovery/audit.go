@@ -175,10 +175,3 @@ func AuditClean(mc *nvm.Controller) error {
 	}
 	return nil
 }
-
-// sortedPMBlocks returns the persisted blocks in address order. The PM
-// image's paged table traverses in ascending address order already, so
-// this is a plain read.
-func sortedPMBlocks(mc *nvm.Controller) []addr.Block {
-	return mc.PM().Blocks()
-}

@@ -33,6 +33,11 @@ type Journal struct {
 	// folds only the cursor and sweep flag into it.
 	entrySum uint64
 	sum      uint64
+	// fresh reports that entrySum was just computed from the entries by
+	// Reset and nothing has validated, tampered or resumed the journal
+	// since: the first Validate after a capture may then fold entrySum
+	// instead of rehashing the same entries again.
+	fresh bool
 }
 
 // NewJournal captures the entries (copied; the caller's slice is not
@@ -52,6 +57,7 @@ func (j *Journal) Reset(entries []core.Entry) {
 	j.done = 0
 	j.sweepDone = false
 	j.entrySum = hashEntries(fnvOffset, j.entries)
+	j.fresh = true
 	j.seal()
 }
 
@@ -136,9 +142,18 @@ func (j *Journal) seal() { j.sum = j.checksum(j.entrySum) }
 
 // Validate recomputes the checksum from the entries themselves and
 // checks it against the seal, returning a typed *nvm.CorruptStateError
-// on mismatch.
+// on mismatch. The one exception is the first validation right after
+// Reset: the capture-time digest was computed from these very entries
+// moments earlier, within the same boot, so it is folded instead of
+// rehashed. Every later validation — a resume after a nested crash, or
+// any check after Tamper — rehashes every entry.
 func (j *Journal) Validate() error {
-	if got := j.checksum(hashEntries(fnvOffset, j.entries)); got != j.sum {
+	entrySum := j.entrySum
+	if !j.fresh {
+		entrySum = hashEntries(fnvOffset, j.entries)
+	}
+	j.fresh = false
+	if got := j.checksum(entrySum); got != j.sum {
 		return &nvm.CorruptStateError{
 			Component: "late-work journal",
 			Detail: fmt.Sprintf("checksum %#x does not match stored %#x over %d entries (cursor %d)",
@@ -155,6 +170,7 @@ func (j *Journal) Tamper() error {
 		return fmt.Errorf("recovery: empty journal cannot be tampered")
 	}
 	j.entries[0].Data[0] ^= 1
+	j.fresh = false
 	return nil
 }
 

@@ -204,3 +204,31 @@ func TestResumeRejectsJournalTamperedAfterNestedCrash(t *testing.T) {
 		t.Errorf("refused resume moved the cursor %d -> %d", done, j.Done())
 	}
 }
+
+// TestJournalValidateSkipsOnlyTheFreshDigest pins where Validate may
+// fold the capture-time digest instead of rehashing the entries: only
+// at the first validation after Reset. Entries damaged after that —
+// here directly, as a nested crash's battery could, without Tamper —
+// must fail every later validation, and so must entries damaged through
+// Tamper before the first one.
+func TestJournalValidateSkipsOnlyTheFreshDigest(t *testing.T) {
+	_, entries := pendingImage(t, config.SchemeCOBCM)
+	var j Journal
+	j.Reset(entries)
+	if err := j.Validate(); err != nil {
+		t.Fatalf("fresh journal failed validation: %v", err)
+	}
+	j.entries[len(j.entries)-1].Data[0] ^= 1
+	var corrupt *nvm.CorruptStateError
+	if err := j.Validate(); !errors.As(err, &corrupt) {
+		t.Fatalf("second validation missed damaged entries: %v", err)
+	}
+
+	j.Reset(entries)
+	if err := j.Tamper(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Validate(); !errors.As(err, &corrupt) {
+		t.Fatalf("first validation after Tamper missed the damage: %v", err)
+	}
+}

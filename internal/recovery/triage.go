@@ -123,7 +123,7 @@ func Triage(mc *nvm.Controller) (*TriageReport, error) {
 		RootConsistent: true,
 	}
 
-	blocks := sortedPMBlocks(mc)
+	blocks := mc.PM().Blocks() // ascending address order
 
 	// Pass 1: per-page BMT path verdicts (shared by the page's blocks).
 	pageOK := make(map[uint64]bool)

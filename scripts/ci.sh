@@ -137,8 +137,9 @@ if ! diff -q "$tmp/crash-matrix.json" "$tmp/crash-matrix-nokern.json"; then
 fi
 echo "crash matrix identical with and without specialized kernels"
 # ... and identical to the checked-in golden: snapshot recycling, the
-# verified-path memo and journal resealing are wall-clock strategies and
-# may not move a single injected point, drained entry or checked block.
+# verified-path memo, the recovery hash memo and journal resealing are
+# wall-clock strategies and may not move a single injected point,
+# drained entry or checked block.
 if ! diff -q results/crash-matrix-seed42.json "$tmp/crash-matrix.json"; then
     echo "ERROR: crash matrix differs from results/crash-matrix-seed42.json" >&2
     exit 1
