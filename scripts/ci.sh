@@ -42,8 +42,9 @@ go test -run Fuzz ./internal/crypto/... ./internal/ptable/... \
     ./internal/pb/... ./internal/recovery/... ./internal/trace/...
 
 # Determinism gate: the table4 artifact must be byte-identical between a
-# serial run and a parallel memoized run — the cell memo and the worker
-# pool are pure replay optimizations and may never leak into output.
+# serial run and a parallel memoized run — the cell memo, the worker pool
+# and trace sharing (every cell of a benchmark replays one generated
+# trace) are pure replay optimizations and may never leak into output.
 tmp=$(mktemp -d)
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill -9 "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
@@ -145,6 +146,16 @@ if ! diff -q results/crash-matrix-seed42.json "$tmp/crash-matrix.json"; then
     exit 1
 fi
 echo "crash matrix identical to the checked-in seed-42 golden"
+
+# Experiment golden: a cold run of every experiment must reproduce the
+# checked-in artifact byte for byte, so no replay strategy (shared
+# traces, cell memo, kernels) can drift the paper's tables unnoticed.
+"$tmp/secpb-bench" -exp all -ops 5000 > "$tmp/exp-all.txt" 2> /dev/null
+if ! diff -q results/exp-all-ops5000.txt "$tmp/exp-all.txt"; then
+    echo "ERROR: -exp all -ops 5000 differs from results/exp-all-ops5000.txt" >&2
+    exit 1
+fi
+echo "every experiment identical to the checked-in ops-5000 golden"
 
 # Degraded-mode smoke: the fixed-seed fault sweep (six schemes across
 # clean / torn-write / bit-rot media) plus the nested battery-exhaustion
