@@ -203,7 +203,7 @@ func prepareServiceTrace(spec service.Spec, nops, segOps int) (*serviceTrace, er
 		st.digests = append(st.digests, fnv64a(service.EncodeResult(eng.Collect())))
 	}
 
-	res, err := engine.RunRecorded(cfg, prof, trace.NewSliceSource(ops))
+	res, err := engine.RunRecorded(cfg, prof, trace.NewSliceBatchSource(ops))
 	if err != nil {
 		return nil, err
 	}

@@ -109,39 +109,29 @@ func (r Result) String() string {
 
 // RunBenchmark simulates nops operations of the named profile under cfg
 // and returns the result. The workload stream is deterministic in
-// (profile, cfg.Seed).
+// (profile, cfg.Seed, nops) and replays through RunRecorded.
 func RunBenchmark(cfg config.Config, prof workload.Profile, nops uint64) (Result, error) {
-	eng, err := New(cfg, prof, ExperimentKey)
-	if err != nil {
-		return Result{}, err
-	}
 	gen, err := workload.NewGenerator(prof, cfg.Seed, nops)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := eng.Run(gen); err != nil {
-		return Result{}, err
-	}
-	res := eng.Collect()
-	if res.IntegrityErr != nil {
-		return res, fmt.Errorf("engine: integrity violation during healthy run: %w", res.IntegrityErr)
-	}
-	return res, nil
+	return RunRecorded(cfg, prof, gen)
 }
 
-// RunRecorded replays a recorded trace through the same engine
-// RunBenchmark drives live: identical configuration, key, and batched
-// replay path, so a trace recorded from workload.NewGenerator(prof,
-// cfg.Seed, n) produces a byte-identical Result to RunBenchmark(cfg,
-// prof, n). Sources that surface decode errors after end-of-stream
-// (trace.FileBatchSource's Err) fail the run rather than silently
-// truncating it.
-func RunRecorded(cfg config.Config, prof workload.Profile, src trace.Source) (Result, error) {
+// RunRecorded is the one run path behind every healthy simulation: it
+// replays src through a fresh engine's batched loop, whether src is the
+// live generator (RunBenchmark), a recorded trace file or a cursor over
+// a trace shared by an experiment grid. Any of them carrying the ops of
+// workload.NewGenerator(prof, cfg.Seed, n) yields a Result identical to
+// RunBenchmark(cfg, prof, n). Sources that surface decode errors after
+// end-of-stream (trace.FileBatchSource's Err) fail the run rather than
+// silently truncating it.
+func RunRecorded(cfg config.Config, prof workload.Profile, src trace.BatchSource) (Result, error) {
 	eng, err := New(cfg, prof, ExperimentKey)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := eng.Run(src); err != nil {
+	if err := eng.RunBatch(src); err != nil {
 		return Result{}, err
 	}
 	if c, ok := src.(interface{ Err() error }); ok {

@@ -129,26 +129,31 @@ func (o *Options) profiles() ([]workload.Profile, error) {
 	return ps, nil
 }
 
-// run simulates one (benchmark, config) pair, consulting the memo when
-// one is configured. Progress is emitted for cache hits too, so the
-// progress stream (like the artifacts) is identical with and without
-// memoization.
-func (o *Options) run(cfg config.Config, prof workload.Profile) (engine.Result, error) {
+// run simulates one grid job, consulting the memo when one is
+// configured. On a miss the cell replays its key's shared trace (or,
+// with TraceDir set, streams the recorded file). Progress is emitted
+// for cache hits too, so the progress stream (like the artifacts) is
+// identical with and without memoization.
+func (o *Options) run(j simJob, traces *traceTable) (engine.Result, error) {
 	var res engine.Result
 	var err error
 	sim := func() (engine.Result, error) {
 		if o.TraceDir != "" {
-			return o.runRecorded(cfg, prof)
+			return o.runRecorded(j.cfg, j.prof)
 		}
-		return engine.RunBenchmark(cfg, prof, o.Ops)
+		src, err := traces.cursor(j)
+		if err != nil {
+			return engine.Result{}, err
+		}
+		return engine.RunRecorded(j.cfg, j.prof, src)
 	}
 	if o.Memo != nil {
-		res, _, err = o.Memo.Do(cellKey(cfg, prof, o.Ops), sim)
+		res, _, err = o.Memo.Do(cellKey(j.cfg, j.prof, o.Ops), sim)
 	} else {
 		res, err = sim()
 	}
 	if err != nil {
-		return res, fmt.Errorf("harness: %s/%v: %w", prof.Name, cfg.Scheme, err)
+		return res, fmt.Errorf("harness: %s/%v: %w", j.prof.Name, j.cfg.Scheme, err)
 	}
 	o.progress("%s", res)
 	return res, nil
@@ -162,8 +167,8 @@ type simJob struct {
 
 // runAll simulates every job with the configured parallelism and returns
 // results in input order. Each job builds its own engine, controller and
-// crypto state, so jobs share nothing; the progress callback is the only
-// shared sink and is serialized here.
+// crypto state; the only things jobs share are the read-only traces of
+// their benchmarks and the progress callback, which is serialized here.
 func (o *Options) runAll(jobs []simJob) ([]engine.Result, error) {
 	po := *o
 	if o.Progress != nil {
@@ -175,10 +180,17 @@ func (o *Options) runAll(jobs []simJob) ([]engine.Result, error) {
 			orig(msg)
 		}
 	}
-	return runner.Map(o.Ctx, o.Parallelism, jobs,
+	traces := newTraceTable(jobs, o.Ops)
+	defer traces.close()
+	res, err := runner.Map(o.Ctx, o.Parallelism, jobs,
 		func(_ context.Context, _ int, j simJob) (engine.Result, error) {
-			return po.run(j.cfg, j.prof)
+			defer traces.done(j)
+			return po.run(j, traces)
 		})
+	if gridHook != nil && err == nil {
+		gridHook(jobs, res)
+	}
+	return res, err
 }
 
 // SlowdownGrid holds normalized execution times: Ratio[bench][scheme].

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderAndValues(t *testing.T) {
@@ -55,7 +56,9 @@ func TestMapFirstErrorIsLowestIndex(t *testing.T) {
 }
 
 // TestMapErrorAbortsPromptly asserts an injected failure stops the pool
-// from starting the long tail of queued jobs.
+// from starting the long tail of queued jobs. Every other job blocks
+// until the pool has cancelled on job 0's failure, so the outcome does
+// not depend on how the workers are scheduled.
 func TestMapErrorAbortsPromptly(t *testing.T) {
 	const n = 10_000
 	items := make([]int, n)
@@ -64,6 +67,11 @@ func TestMapErrorAbortsPromptly(t *testing.T) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("injected")
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(time.Minute):
+			t.Errorf("job %d: the pool never cancelled after job 0 failed", i)
 		}
 		return 0, nil
 	})

@@ -69,7 +69,7 @@ func goldenResult(t *testing.T, spec Spec, ops []trace.Op) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.RunRecorded(cfg, prof, trace.NewSliceSource(ops))
+	res, err := engine.RunRecorded(cfg, prof, trace.NewSliceBatchSource(ops))
 	if err != nil {
 		t.Fatal(err)
 	}

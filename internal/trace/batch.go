@@ -103,24 +103,32 @@ type BatchSource interface {
 	NextBatch(b *Batch) bool
 }
 
-// SliceBatchSource replays a pre-materialized op slice in columnar
-// chunks — the batched counterpart of SliceSource, for benchmarks and
-// tests that want the batched replay path without generator cost in
-// the loop. The columns are decomposed once at construction; NextBatch
-// installs zero-copy subslice views into the consumer's batch instead
-// of copying op by op.
+// SliceBatchSource replays a pre-materialized op stream in columnar
+// chunks — the batched counterpart of SliceSource, for benchmarks,
+// tests and experiment grids that want the batched replay path without
+// generator cost in the loop. NextBatch installs zero-copy subslice
+// views into the consumer's batch instead of copying op by op.
 type SliceBatchSource struct {
 	cols Batch
 	pos  int
 }
 
-// NewSliceBatchSource returns a BatchSource over ops.
+// NewSliceBatchSource returns a BatchSource over ops, decomposing them
+// into columns once.
 func NewSliceBatchSource(ops []Op) *SliceBatchSource {
-	s := &SliceBatchSource{cols: *NewBatch(len(ops))}
+	b := NewBatch(len(ops))
 	for _, op := range ops {
-		s.cols.Append(op)
+		b.Append(op)
 	}
-	return s
+	return NewBatchCursor(b)
+}
+
+// NewBatchCursor returns an independent read-only cursor over b's ops,
+// sharing b's columns without copying them. Any number of cursors may
+// read one batch concurrently, provided nothing modifies b while they
+// are live.
+func NewBatchCursor(b *Batch) *SliceBatchSource {
+	return &SliceBatchSource{cols: *b}
 }
 
 // Reset rewinds the source to the start of the slice.
@@ -138,12 +146,19 @@ func (s *SliceBatchSource) NextBatch(b *Batch) bool {
 	if n > DefaultBatchCap {
 		n = DefaultBatchCap
 	}
-	lo, hi := s.pos, s.pos+n
-	b.Kinds = s.cols.Kinds[lo:hi:hi]
-	b.Addrs = s.cols.Addrs[lo:hi:hi]
-	b.Sizes = s.cols.Sizes[lo:hi:hi]
-	b.Datas = s.cols.Datas[lo:hi:hi]
-	b.Gaps = s.cols.Gaps[lo:hi:hi]
-	s.pos = hi
+	s.cols.viewInto(b, s.pos, s.pos+n)
+	s.pos += n
 	return true
+}
+
+// viewInto points dst's columns at ops [lo, hi) of b without copying.
+// dst is then a read-only view: a Reset and Append through it would
+// overwrite b's ops in place. Capping the capacity at hi at least keeps
+// an append past the view from reaching b's later ops.
+func (b *Batch) viewInto(dst *Batch, lo, hi int) {
+	dst.Kinds = b.Kinds[lo:hi:hi]
+	dst.Addrs = b.Addrs[lo:hi:hi]
+	dst.Sizes = b.Sizes[lo:hi:hi]
+	dst.Datas = b.Datas[lo:hi:hi]
+	dst.Gaps = b.Gaps[lo:hi:hi]
 }

@@ -54,3 +54,38 @@ func TestNewBatchDefaultCap(t *testing.T) {
 		t.Errorf("NewBatch(-3).Cap() = %d, want %d", got, DefaultBatchCap)
 	}
 }
+
+// TestBatchCursorsIndependent checks that cursors over one shared batch
+// advance independently, replay every op in order and never copy the
+// columns.
+func TestBatchCursorsIndependent(t *testing.T) {
+	ops := genOps(2*DefaultBatchCap + 17)
+	shared := NewBatch(len(ops))
+	for _, op := range ops {
+		shared.Append(op)
+	}
+	a, b := NewBatchCursor(shared), NewBatchCursor(shared)
+	ba, bb := NewBatch(DefaultBatchCap), NewBatch(DefaultBatchCap)
+	if !a.NextBatch(ba) {
+		t.Fatal("cursor a empty")
+	}
+	pos := 0
+	for b.NextBatch(bb) {
+		if &bb.Kinds[0] != &shared.Kinds[pos] {
+			t.Fatalf("cursor b copied the columns at op %d", pos)
+		}
+		for i := 0; i < bb.Len(); i++ {
+			if bb.Op(i) != ops[pos+i] {
+				t.Fatalf("op %d = %+v, want %+v", pos+i, bb.Op(i), ops[pos+i])
+			}
+		}
+		pos += bb.Len()
+	}
+	if pos != len(ops) {
+		t.Fatalf("cursor b replayed %d ops, want %d", pos, len(ops))
+	}
+	// Draining b did not move a.
+	if ba.Op(0) != ops[0] || !a.NextBatch(ba) || ba.Op(0) != ops[DefaultBatchCap] {
+		t.Fatal("cursor a was advanced by cursor b")
+	}
+}

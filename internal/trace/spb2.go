@@ -815,10 +815,10 @@ func (d *Decoder) readSegment(b *Batch) error {
 // FileBatchSource replays a recorded trace as a trace.BatchSource (and
 // scalar Source), so the harness and engine.RunBatch run recorded
 // traces exactly as they run generated ones. Decoding is segment-at-a-
-// time into two internal buffers, alternating so the zero-copy views
-// handed to a consumer that holds one batch while refilling another
-// stay valid while the next segment decodes — the FileBatchSource
-// counterpart of the SliceBatchSource aliasing contract.
+// time into one internal buffer. NextBatch hands out zero-copy views of
+// it, which stay valid only until the next NextBatch call: the
+// following segment decodes over them. The engine's replay loop
+// finishes with each batch before it asks for the next one.
 //
 // NextBatch returning false means end of stream or error; callers must
 // check Err afterwards. As with any BatchSource, consume the stream
@@ -826,9 +826,7 @@ func (d *Decoder) readSegment(b *Batch) error {
 type FileBatchSource struct {
 	c    io.Closer
 	d    *Decoder
-	bufs [2]*Batch
-	flip int
-	cur  *Batch
+	buf  *Batch
 	pos  int
 	n    uint64
 	err  error
@@ -842,12 +840,10 @@ func NewFileBatchSource(r io.Reader) (*FileBatchSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &FileBatchSource{d: d}
+	s := &FileBatchSource{d: d, buf: NewBatch(DefaultSegOps)}
 	if c, ok := r.(io.Closer); ok {
 		s.c = c
 	}
-	s.bufs[0] = NewBatch(DefaultSegOps)
-	s.bufs[1] = NewBatch(DefaultSegOps)
 	return s, nil
 }
 
@@ -870,10 +866,8 @@ func (s *FileBatchSource) advance() bool {
 	if s.err != nil || s.done {
 		return false
 	}
-	for s.cur == nil || s.pos >= s.cur.Len() {
-		nb := s.bufs[s.flip]
-		s.flip ^= 1
-		err := s.d.readSegment(nb)
+	for s.pos >= s.buf.Len() {
+		err := s.d.readSegment(s.buf)
 		if err == io.EOF {
 			s.done = true
 			return false
@@ -882,7 +876,7 @@ func (s *FileBatchSource) advance() bool {
 			s.err = err
 			return false
 		}
-		s.cur, s.pos = nb, 0
+		s.pos = 0
 	}
 	return true
 }
@@ -893,17 +887,12 @@ func (s *FileBatchSource) NextBatch(b *Batch) bool {
 	if !s.advance() {
 		return false
 	}
-	n := s.cur.Len() - s.pos
+	n := s.buf.Len() - s.pos
 	if n > DefaultBatchCap {
 		n = DefaultBatchCap
 	}
-	lo, hi := s.pos, s.pos+n
-	b.Kinds = s.cur.Kinds[lo:hi:hi]
-	b.Addrs = s.cur.Addrs[lo:hi:hi]
-	b.Sizes = s.cur.Sizes[lo:hi:hi]
-	b.Datas = s.cur.Datas[lo:hi:hi]
-	b.Gaps = s.cur.Gaps[lo:hi:hi]
-	s.pos = hi
+	s.buf.viewInto(b, s.pos, s.pos+n)
+	s.pos += n
 	s.n += uint64(n)
 	return true
 }
@@ -913,7 +902,7 @@ func (s *FileBatchSource) Next() (Op, bool) {
 	if !s.advance() {
 		return Op{}, false
 	}
-	op := s.cur.Op(s.pos)
+	op := s.buf.Op(s.pos)
 	s.pos++
 	s.n++
 	return op, true

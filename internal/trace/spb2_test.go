@@ -276,45 +276,39 @@ func TestFileBatchSourceMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestFileBatchSourceDoubleBuffer checks the aliasing contract a
-// double-buffered consumer depends on: the views installed into one
-// consumer batch must stay intact while the source refills a second
-// batch (i.e. the source alternates internal buffers rather than
-// decoding over live data).
-func TestFileBatchSourceDoubleBuffer(t *testing.T) {
+// TestFileBatchSourceSingleBuffer checks the aliasing contract of the
+// one decode buffer: each batch's views hold the right ops until the
+// next NextBatch call, and every segment decodes into the same backing
+// array rather than a fresh or alternating one.
+func TestFileBatchSourceSingleBuffer(t *testing.T) {
 	ops := genOps(3 * DefaultBatchCap)
 	enc := encodeSPB2(t, ops, DefaultBatchCap)
 	fs, err := NewFileBatchSource(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatalf("NewFileBatchSource: %v", err)
 	}
-	cur, next := NewBatch(DefaultBatchCap), NewBatch(DefaultBatchCap)
-	if !fs.NextBatch(cur) {
-		t.Fatal("first NextBatch returned false")
-	}
-	pos := 0
-	for fs.NextBatch(next) {
-		// cur's views must still hold the previous chunk's ops even
-		// though the source has since decoded the next segment.
-		for i := 0; i < cur.Len(); i++ {
-			if cur.Op(i) != ops[pos+i] {
-				t.Fatalf("op %d clobbered while next batch decoded: %+v, want %+v",
-					pos+i, cur.Op(i), ops[pos+i])
+	b := NewBatch(DefaultBatchCap)
+	pos, batches := 0, 0
+	var base *Kind
+	for fs.NextBatch(b) {
+		for i := 0; i < b.Len(); i++ {
+			if b.Op(i) != ops[pos+i] {
+				t.Fatalf("op %d = %+v, want %+v", pos+i, b.Op(i), ops[pos+i])
 			}
 		}
-		pos += cur.Len()
-		cur, next = next, cur
+		if batches == 0 {
+			base = &b.Kinds[0]
+		} else if &b.Kinds[0] != base {
+			t.Fatalf("batch %d decoded into a different buffer than batch 0", batches)
+		}
+		pos += b.Len()
+		batches++
 	}
 	if err := fs.Err(); err != nil {
 		t.Fatalf("Err: %v", err)
 	}
-	for i := 0; i < cur.Len(); i++ {
-		if cur.Op(i) != ops[pos+i] {
-			t.Fatalf("final batch op %d = %+v, want %+v", pos+i, cur.Op(i), ops[pos+i])
-		}
-	}
-	if pos+cur.Len() != len(ops) {
-		t.Fatalf("replayed %d ops, want %d", pos+cur.Len(), len(ops))
+	if pos != len(ops) || batches != 3 {
+		t.Fatalf("replayed %d ops in %d batches, want %d in 3", pos, batches, len(ops))
 	}
 }
 
