@@ -16,45 +16,34 @@ import (
 	"secpb/internal/config"
 )
 
-// lineState tracks residency and writeback semantics of one cache line.
-type lineState uint8
-
+// Line states, packed into the low bits of a line's word. Block
+// addresses are BlockBytes-aligned, so those bits are otherwise zero.
+// persistDirty includes the dirty bit, so a plain write (w |= dirty)
+// never downgrades a persist-dirty line.
 const (
-	invalid lineState = iota
-	clean
-	dirty        // must be written back on eviction
-	persistDirty // dirty but persisted via PB: silently droppable
+	clean        = 0
+	dirty        = 1 // must be written back on eviction
+	persistDirty = 3 // dirty but persisted via PB: silently droppable
+	stateMask    = 3
 )
 
 // Cache is a set-associative cache with true-LRU replacement.
 //
-// The line metadata is stored structure-of-arrays: a probe scans only
-// the tags slice, where one 8-way set's tags occupy exactly one
-// 64-byte host cache line, instead of striding through 24-byte
-// AoS line structs (three host lines per set). The used/state columns
-// are touched only on the way that hit (or the victim being filled).
-//
-// Valid lines are kept prefix-dense: set s holds exactly valid[s]
-// resident lines, in ways [0, valid[s]). Probes scan only that prefix
-// (a cold set costs zero tag compares), fills of a non-full set append
-// at the prefix end with no victim scan at all, and construction does
-// not need to seed a sentinel tag — ways at or beyond the count are
-// simply never read. Which way a line occupies is unobservable: hits
-// depend only on residency, and LRU victim choice depends only on the
-// used stamps, which are globally unique (every writer of used first
-// increments the probe clock), so compaction on invalidate cannot
-// change any modeled outcome.
+// Each set is one row of ways words, kept in recency order: way 0 is
+// the most recently used line and way valid[s]-1 the least. A word is
+// the line's block address with its state in the low two bits. A probe
+// scans only the valid prefix of one row; a hit moves the line to way 0
+// (a hit at way 0 writes nothing beyond a state upgrade), and a fill
+// shifts the prefix right by one and writes the new line at way 0, so a
+// full set's LRU victim is always its last way, found without a scan.
+// Ways at or beyond a set's valid count are never read.
 type Cache struct {
 	name     string
 	setMask  uint64
 	setShift uint
 	ways     uint64
-	tags     []uint64    // sets * ways, row major
-	used     []uint64    // LRU timestamps, parallel to tags
-	state    []lineState // parallel to tags
-	valid    []uint16    // per-set count of resident (prefix-dense) ways
-	mru      []uint16    // per-set way of the most recent hit or fill
-	clock    uint64
+	lines    []uint64 // sets * ways, row major, each row MRU first
+	valid    []uint16 // per-set count of resident lines
 	latency  uint64
 
 	hits      uint64
@@ -64,7 +53,8 @@ type Cache struct {
 }
 
 // NewCache builds a cache from its configuration. The config must be
-// valid (power-of-two set count).
+// valid (power-of-two set count), and blocks must be at least 4 bytes
+// so that block addresses leave the two state bits free.
 func NewCache(name string, cfg config.CacheConfig) *Cache {
 	sets := cfg.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
@@ -73,32 +63,26 @@ func NewCache(name string, cfg config.CacheConfig) *Cache {
 	if cfg.Ways <= 0 || cfg.Ways > 1<<16-1 {
 		panic(fmt.Sprintf("mem: cache %s has invalid way count %d", name, cfg.Ways))
 	}
-	n := sets * cfg.Ways
+	if cfg.BlockBytes <= stateMask {
+		panic(fmt.Sprintf("mem: cache %s has block size %d < 4", name, cfg.BlockBytes))
+	}
 	return &Cache{
 		name:     name,
 		setMask:  uint64(sets - 1),
 		setShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		ways:     uint64(cfg.Ways),
-		tags:     make([]uint64, n),
-		used:     make([]uint64, n),
-		state:    make([]lineState, n),
+		lines:    make([]uint64, sets*cfg.Ways),
 		valid:    make([]uint16, sets),
-		mru:      make([]uint16, sets),
 		latency:  cfg.AccessCycles,
 	}
 }
 
 // Reset empties the cache in place, leaving it observationally equal to
-// a NewCache of the same configuration: every set's valid prefix, its
-// MRU way, the probe clock and the statistics go back to zero. Tags,
-// stamps and states are left as they are, because ways at or beyond a
-// set's valid count are never read: a fill of a non-full set appends
-// without a victim scan, and a set's stamps are scanned only once it is
-// full again, by which point every way has been rewritten.
+// a NewCache of the same configuration: every set's valid count and the
+// statistics go back to zero. Line words are left as they are, because
+// ways at or beyond a set's valid count are never read.
 func (c *Cache) Reset() {
 	clear(c.valid)
-	clear(c.mru)
-	c.clock = 0
 	c.hits, c.misses, c.evictions, c.wbacks = 0, 0, 0, 0
 }
 
@@ -108,164 +92,67 @@ func (c *Cache) Latency() uint64 { return c.latency }
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.name }
 
-// base returns the index of the block's set's first way.
-func (c *Cache) base(blockAddr uint64) uint64 {
-	return ((blockAddr >> c.setShift) & c.setMask) * c.ways
-}
-
-// Lookup reports whether the block is resident, without changing state.
-func (c *Cache) Lookup(blockAddr uint64) bool {
+// row returns the valid prefix of the block's set.
+func (c *Cache) row(blockAddr uint64) []uint64 {
 	set := (blockAddr >> c.setShift) & c.setMask
 	base := set * c.ways
-	for _, t := range c.tags[base : base+uint64(c.valid[set])] {
-		if t == blockAddr {
+	return c.lines[base : base+uint64(c.valid[set])]
+}
+
+// probe looks the block up in its set. On a hit it moves the line to
+// way 0, ORs up into its state bits and returns true.
+func (c *Cache) probe(blockAddr, up uint64) bool {
+	row := c.row(blockAddr)
+	for i, w := range row {
+		if w&^stateMask == blockAddr {
+			for ; i > 0; i-- {
+				row[i] = row[i-1]
+			}
+			row[0] = w | up
+			c.hits++
 			return true
 		}
 	}
+	c.misses++
 	return false
 }
 
-// Access touches the block: on hit the LRU state refreshes and, for
-// writes, the line state upgrades. Returns whether it hit.
+// Access touches the block: on hit the line becomes the most recently
+// used and, for writes, its state upgrades. Returns whether it hit.
 func (c *Cache) Access(blockAddr uint64, write, persist bool) bool {
-	c.clock++
-	set := (blockAddr >> c.setShift) & c.setMask
-	base := set * c.ways
-	cnt := uint64(c.valid[set])
-	if m := uint64(c.mru[set]); m < cnt && c.tags[base+m] == blockAddr {
-		j := base + m
-		c.hits++
-		c.used[j] = c.clock
-		if write {
-			if persist {
-				c.state[j] = persistDirty
-			} else if c.state[j] != persistDirty {
-				c.state[j] = dirty
-			}
-		}
-		return true
-	}
-	tags := c.tags[base : base+cnt]
-	for i := range tags {
-		if tags[i] == blockAddr {
-			j := base + uint64(i)
-			c.mru[set] = uint16(i)
-			c.hits++
-			c.used[j] = c.clock
-			if write {
-				if persist {
-					c.state[j] = persistDirty
-				} else if c.state[j] != persistDirty {
-					c.state[j] = dirty
-				}
-			}
-			return true
-		}
-	}
-	c.misses++
-	return false
+	return c.probe(blockAddr, fillState(write, persist))
 }
 
-// AccessRead is the specialized read probe — Access(blockAddr, false,
-// false) with the write branches hoisted out. The engine's load path
-// (scalar and columnar batch replay alike) issues one per load.
-func (c *Cache) AccessRead(blockAddr uint64) bool {
-	c.clock++
-	set := (blockAddr >> c.setShift) & c.setMask
-	base := set * c.ways
-	cnt := uint64(c.valid[set])
-	if m := uint64(c.mru[set]); m < cnt && c.tags[base+m] == blockAddr {
-		j := base + m
-		c.hits++
-		c.used[j] = c.clock
-		return true
-	}
-	tags := c.tags[base : base+cnt]
-	for i := range tags {
-		if tags[i] == blockAddr {
-			j := base + uint64(i)
-			c.mru[set] = uint16(i)
-			c.hits++
-			c.used[j] = c.clock
-			return true
-		}
-	}
-	c.misses++
-	return false
-}
+// AccessRead is the read probe — Access(blockAddr, false, false). The
+// engine's load path (scalar and columnar batch replay alike) issues
+// one per load.
+func (c *Cache) AccessRead(blockAddr uint64) bool { return c.probe(blockAddr, clean) }
 
-// AccessWrite is the specialized non-persist write probe — Access(
-// blockAddr, true, false): on a hit the line becomes dirty unless it
-// is already persist-dirty. The memory controller's metadata caches
-// (counter, MAC, BMT) issue one per metadata update.
-func (c *Cache) AccessWrite(blockAddr uint64) bool {
-	c.clock++
-	set := (blockAddr >> c.setShift) & c.setMask
-	base := set * c.ways
-	cnt := uint64(c.valid[set])
-	if m := uint64(c.mru[set]); m < cnt && c.tags[base+m] == blockAddr {
-		j := base + m
-		c.hits++
-		c.used[j] = c.clock
-		if c.state[j] != persistDirty {
-			c.state[j] = dirty
-		}
-		return true
-	}
-	tags := c.tags[base : base+cnt]
-	for i := range tags {
-		if tags[i] == blockAddr {
-			j := base + uint64(i)
-			c.mru[set] = uint16(i)
-			c.hits++
-			c.used[j] = c.clock
-			if c.state[j] != persistDirty {
-				c.state[j] = dirty
-			}
-			return true
-		}
-	}
-	c.misses++
-	return false
-}
+// AccessWrite is the non-persist write probe — Access(blockAddr, true,
+// false): on a hit the line becomes dirty unless it is already
+// persist-dirty. The memory controller's metadata caches (counter, MAC,
+// BMT) issue one per metadata update.
+func (c *Cache) AccessWrite(blockAddr uint64) bool { return c.probe(blockAddr, dirty) }
+
+// AccessPersist is the persist-store probe — Access(blockAddr, true,
+// true): on a hit the line unconditionally becomes persist-dirty. One
+// per store on the engine's hot path.
+func (c *Cache) AccessPersist(blockAddr uint64) bool { return c.probe(blockAddr, persistDirty) }
 
 // RecountMiss re-records a probe of a block this cache just reported
-// missing, with no intervening fill: the rescan's outcome is already
-// known, so only the probe clock and the miss counter advance — the
-// exact state change the redundant scan would have made.
-func (c *Cache) RecountMiss() {
-	c.clock++
-	c.misses++
-}
+// missing, with no intervening fill: a miss changes nothing but the
+// miss counter, so the rescan is skipped.
+func (c *Cache) RecountMiss() { c.misses++ }
 
-// AccessPersist is the specialized persist-store probe — Access(
-// blockAddr, true, true): on a hit the line unconditionally becomes
-// persist-dirty. One per store on the engine's hot path.
-func (c *Cache) AccessPersist(blockAddr uint64) bool {
-	c.clock++
-	set := (blockAddr >> c.setShift) & c.setMask
-	base := set * c.ways
-	cnt := uint64(c.valid[set])
-	if m := uint64(c.mru[set]); m < cnt && c.tags[base+m] == blockAddr {
-		j := base + m
-		c.hits++
-		c.used[j] = c.clock
-		c.state[j] = persistDirty
-		return true
+// fillState is the state a write with these flags gives a line.
+func fillState(write, persist bool) uint64 {
+	if !write {
+		return clean
 	}
-	tags := c.tags[base : base+cnt]
-	for i := range tags {
-		if tags[i] == blockAddr {
-			j := base + uint64(i)
-			c.mru[set] = uint16(i)
-			c.hits++
-			c.used[j] = c.clock
-			c.state[j] = persistDirty
-			return true
-		}
+	if persist {
+		return persistDirty
 	}
-	c.misses++
-	return false
+	return dirty
 }
 
 // Victim describes a block evicted by Fill.
@@ -275,33 +162,25 @@ type Victim struct {
 	Discarded bool // persist-dirty line silently dropped
 }
 
-// Fill allocates the block, evicting the LRU line if needed. The write
-// and persist flags set the new line's state as in Access. A non-full
-// set appends at the end of its valid prefix — no victim scan; a full
-// set scans only the LRU stamps (every way is known resident, so the
-// scan needs no tag loads or sentinel checks).
+// Fill allocates the block as the set's most recently used line,
+// evicting the least recently used (last) way if the set is full. The
+// write and persist flags set the new line's state as in Access. The
+// address must be block-aligned: Fill panics if its state bits are set.
 func (c *Cache) Fill(blockAddr uint64, write, persist bool) (Victim, bool) {
-	c.clock++
+	if blockAddr&stateMask != 0 {
+		panic(fmt.Sprintf("mem: cache %s fill of unaligned address %#x", c.name, blockAddr))
+	}
 	set := (blockAddr >> c.setShift) & c.setMask
 	base := set * c.ways
+	row := c.lines[base : base+c.ways]
+	n := uint64(c.valid[set])
 	var v Victim
-	hadVictim := false
-	var victim uint64
-	if cnt := uint64(c.valid[set]); cnt < c.ways {
-		victim = base + cnt
-		c.valid[set] = uint16(cnt + 1)
-	} else {
-		victim = base
-		oldest := c.used[base]
-		for j := base + 1; j < base+c.ways; j++ {
-			if c.used[j] < oldest {
-				oldest = c.used[j]
-				victim = j
-			}
-		}
-		hadVictim = true
-		v.Addr = c.tags[victim]
-		switch c.state[victim] {
+	hadVictim := n == c.ways
+	if hadVictim {
+		n--
+		w := row[n]
+		v.Addr = w &^ stateMask
+		switch w & stateMask {
 		case dirty:
 			v.Dirty = true
 			c.wbacks++
@@ -309,41 +188,25 @@ func (c *Cache) Fill(blockAddr uint64, write, persist bool) (Victim, bool) {
 			v.Discarded = true
 		}
 		c.evictions++
+	} else {
+		c.valid[set] = uint16(n + 1)
 	}
-	st := clean
-	if write {
-		if persist {
-			st = persistDirty
-		} else {
-			st = dirty
-		}
-	}
-	c.tags[victim] = blockAddr
-	c.state[victim] = st
-	c.used[victim] = c.clock
-	c.mru[set] = uint16(victim - base)
+	copy(row[1:n+1], row[:n])
+	row[0] = blockAddr | fillState(write, persist)
 	return v, hadVictim
 }
 
 // Invalidate removes the block if resident, returning whether it was
-// dirty (needing writeback). The last valid way moves into the vacated
-// slot to keep the prefix dense; since hit detection depends only on
-// residency and victim choice only on the (globally unique) LRU
-// stamps, the compaction is unobservable.
+// dirty (needing writeback). The lines behind it move up one way, so
+// the rest of the set keeps its recency order.
 func (c *Cache) Invalidate(blockAddr uint64) (wasDirty bool) {
 	set := (blockAddr >> c.setShift) & c.setMask
-	base := set * c.ways
-	cnt := uint64(c.valid[set])
-	for i := uint64(0); i < cnt; i++ {
-		j := base + i
-		if c.tags[j] == blockAddr {
-			wasDirty = c.state[j] == dirty
-			last := base + cnt - 1
-			c.tags[j] = c.tags[last]
-			c.used[j] = c.used[last]
-			c.state[j] = c.state[last]
-			c.valid[set] = uint16(cnt - 1)
-			return wasDirty
+	row := c.row(blockAddr)
+	for i, w := range row {
+		if w&^stateMask == blockAddr {
+			copy(row[i:], row[i+1:])
+			c.valid[set]--
+			return w&stateMask == dirty
 		}
 	}
 	return false

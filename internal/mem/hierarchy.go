@@ -74,8 +74,8 @@ func (h *Hierarchy) Load(blockAddr uint64) AccessResult {
 // block and missed. The engine's load path issues its own L1 probe
 // first; Load would rescan the same set with a foreknown outcome, so
 // this form recounts the L1 miss arithmetically (RecountMiss) and
-// proceeds from L2 — the stats and clock trajectory are exactly
-// Load's.
+// proceeds from L2 — the statistics and every set's recency order end
+// exactly as Load leaves them.
 func (h *Hierarchy) LoadAfterL1Miss(blockAddr uint64) AccessResult {
 	h.l1.RecountMiss()
 	if h.l2.AccessRead(blockAddr) {
