@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"secpb/internal/config"
-	"secpb/internal/engine"
 	"secpb/internal/harness"
 	"secpb/internal/runner"
 	"secpb/internal/workload"
@@ -67,7 +66,6 @@ func benchMain() int {
 		cores    = flag.String("cores", "", "comma list of core counts for the multicore battery grid (default 1,8,64,256); cores=1 artifacts are byte-identical to the single-core path")
 		memo     = flag.Bool("memo", true, "cache simulation cells by content so overlapping experiment grids simulate each unique (config, benchmark, ops) cell once; output is identical either way")
 		memodir  = flag.String("memodir", "", "persist the cell cache in this directory: warm re-runs replay cached cells instead of simulating (records are content-keyed, version-stamped and checksummed; anything stale or corrupt is recomputed); output is identical either way")
-		kernels  = flag.Bool("kernels", true, "use the scheme-specialized execution kernels for the per-op hot path; output is identical either way")
 		tracedir = flag.String("tracedir", "", "replay each benchmark's recorded SPB2 trace from <dir>/<name>.spb2 instead of generating the stream live; traces recorded with -record at the same ops yield byte-identical artifacts")
 		record   = flag.Bool("record", false, "record the selected benchmarks' traces (default: the workload zoo) into -tracedir before running")
 		verbose  = flag.Bool("v", false, "print per-simulation progress")
@@ -106,8 +104,6 @@ func benchMain() int {
 			}
 		}()
 	}
-
-	engine.SetDefaultKernels(*kernels)
 
 	gridCores, err := parseCores(*cores)
 	if err != nil {
@@ -314,7 +310,6 @@ func benchMain() int {
 			report["memo_hits"] = hits
 			report["memo_misses"] = misses
 		}
-		report["kernels"] = *kernels
 		if cellStore != nil {
 			cs, bs := cellStore.Stats(), batteryStore.Stats()
 			report["disk_hits"] = cs.Hits + bs.Hits

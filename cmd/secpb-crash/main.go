@@ -30,7 +30,6 @@ import (
 
 	"secpb/internal/config"
 	"secpb/internal/crashsim"
-	"secpb/internal/engine"
 )
 
 func main() {
@@ -42,7 +41,6 @@ func main() {
 		points     = flag.Int("points", 200, "crash points sampled per cell (0 = exhaustive)")
 		entries    = flag.Int("secpb", 0, "SecPB entries (0 = config default)")
 		workers    = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		kernels    = flag.Bool("kernels", true, "use the scheme-specialized execution kernels where they engage (healthy replay phases); output is identical either way")
 		out        = flag.String("out", "", "write the JSON crash-matrix artifact to this file")
 		svc        = flag.Bool("service", false, "run the service-level kill matrix instead of the in-process crash matrix")
 		segOps     = flag.Int("segops", 128, "service mode: SPB2 ops per uploaded segment")
@@ -51,7 +49,6 @@ func main() {
 		dir        = flag.String("dir", "", "service mode: scratch directory (empty = temp)")
 	)
 	flag.Parse()
-	engine.SetDefaultKernels(*kernels)
 
 	var schemes []config.Scheme
 	if *schemesStr != "all" {

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"secpb/internal/config"
-	"secpb/internal/engine"
 	"secpb/internal/recovery"
 )
 
@@ -42,11 +41,9 @@ func main() {
 		rot        = flag.Float64("rot", -1, "latent bit-rot rate (overrides -faultrate)")
 		budget     = flag.Float64("budget", 0, "battery reserve per recovery boot, in entries (0 = wall power)")
 		workers    = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		kernels    = flag.Bool("kernels", true, "use the scheme-specialized execution kernels where they engage (healthy replay phases); output is identical either way")
 		out        = flag.String("out", "", "write the JSON heal-matrix artifact to this file")
 	)
 	flag.Parse()
-	engine.SetDefaultKernels(*kernels)
 
 	var schemes []config.Scheme
 	if *schemesStr != "all" {

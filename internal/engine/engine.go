@@ -14,7 +14,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"secpb/internal/addr"
@@ -40,17 +39,15 @@ type Engine struct {
 	hier *mem.Hierarchy
 	sb   *mem.StoreBuffer
 
-	// Specialized step kernel (see kernel.go): kern holds the
-	// preresolved per-scheme constants and dispatch class, kernEnabled
-	// the engine's pin (seeded from the package default), l1 the cached
-	// L1 pointer the hot probes use, and blockCol the batch replay
-	// loop's reusable bulk-decomposed block column.
-	kern        kernel
-	kernEnabled bool
-	l1          *mem.Cache
-	blockCol    []addr.Block
-	// lastStoreBlock/lastStoreBlk memoize the kernel store path's most
-	// recent memory-image lookup (ptable pointers are stable).
+	// Step path state (see kernel.go): kern holds the preresolved
+	// per-scheme constants, l1 the cached L1 pointer the hot probes
+	// use, and blockCol the batch replay loop's reusable
+	// bulk-decomposed block column.
+	kern     kernel
+	l1       *mem.Cache
+	blockCol []addr.Block
+	// lastStoreBlock/lastStoreBlk memoize the store path's most recent
+	// memory-image lookup (ptable pointers are stable).
 	lastStoreBlock addr.Block
 	lastStoreBlk   *[addr.BlockBytes]byte
 
@@ -140,8 +137,8 @@ func New(cfg config.Config, prof workload.Profile, key []byte) (*Engine, error) 
 		}
 		e.spb = spb
 	}
-	e.kernEnabled = DefaultKernels()
-	e.refreshKernel()
+	e.kern = newKernel(cfg, mc.Secure())
+	e.l1 = e.hier.L1()
 	return e, nil
 }
 
@@ -193,10 +190,6 @@ func (e *Engine) SetCrashSink(s crashpoint.Sink) {
 		e.spb.SetCrashSink(s)
 	}
 	e.mc.SetCrashSink(s)
-	// Crash points fire from inside the generic accept path; the
-	// specialized kernel disengages while a sink is installed and
-	// re-engages when it is removed.
-	e.refreshKernel()
 }
 
 // advance adds non-memory instruction time: gap instructions plus the
@@ -227,7 +220,7 @@ func (e *Engine) Step(op trace.Op) error {
 }
 
 // StepBatch executes one columnar batch of operations: validated once
-// up front, then replayed through the same specialized kernels RunBatch
+// up front, then replayed through the same columnar loop RunBatch
 // uses. Callers that receive ops in externally-chosen chunks (the
 // trace-streaming service steps one uploaded segment at a time) get the
 // columnar fast path without committing to a whole-source Run; the
@@ -246,18 +239,13 @@ func (e *Engine) step(op trace.Op) error {
 	e.advance(op.Gap)
 	switch op.Kind {
 	case trace.Load:
-		if e.kern.class == kcSecPB {
-			e.loadFast(op.Addr)
-			return nil
+		e.loads++
+		blockAddr := op.Addr &^ (addr.BlockBytes - 1)
+		if !e.l1.AccessRead(blockAddr) {
+			e.loadMiss(blockAddr)
 		}
-		e.doLoad(op)
 	case trace.Store:
-		if e.kern.class == kcSecPB {
-			return e.storeFast(op.Addr, op.Size, op.Data)
-		}
-		if err := e.doStore(op); err != nil {
-			return err
-		}
+		return e.store(addr.BlockOf(op.Addr), op.Addr, op.Size, op.Data)
 	case trace.Fence:
 		// Strict persistency on a persistent hierarchy: fences are
 		// no-ops for persistency; they only drain the store buffer.
@@ -374,169 +362,11 @@ func (e *Engine) CrashDrain() (int, error) {
 	return n, err
 }
 
-// doLoad models a data read.
-func (e *Engine) doLoad(op trace.Op) {
-	e.loads++
-	block := addr.BlockOf(op.Addr)
-
-	// L1 hit: fully pipelined, no retirement stall.
-	if e.hier.L1().Access(block.Addr(), false, false) {
-		return
-	}
-	// The persist buffer is at the L1 level and holds the freshest
-	// data: an L1 miss that hits the SecPB is served from it.
-	if e.spb != nil && e.spb.Lookup(block) != nil {
-		e.pbServedLoads++
-		e.hier.L1().Fill(block.Addr(), true, true)
-		e.stall(e.cfg.SecPBAccessCyc)
-		return
-	}
-	res := e.hier.Load(block.Addr())
-	extra := uint64(0)
-	if res.PMAccess {
-		// Functional fetch: decrypt + verify.
-		_, cost, err := e.mc.FetchBlock(block)
-		if err != nil && e.integrityErr == nil {
-			e.integrityErr = err
-		}
-		// With speculative verification (PoisonIvy) the MAC/BMT checks
-		// run off the critical path; without it the load's use waits
-		// for the MAC check and the BMT walk.
-		if e.mc.Secure() && !e.cfg.Speculative {
-			extra = e.cfg.MACLatency + uint64(cost.BMTLevels)*e.cfg.MACLatency
-		}
-	}
-	e.stall(res.Cycles - e.hier.L1().Latency() + extra)
-}
-
 // stall charges a retirement stall of cycles/MLP (overlapped misses).
 func (e *Engine) stall(cycles uint64) {
 	s := cycles / e.timing.MLP
 	e.loadStall += s
 	e.now += s
-}
-
-// doStore models a persist: the store enters L1D and the SecPB in
-// parallel; acceptance latency depends on the scheme's early work.
-func (e *Engine) doStore(op trace.Op) error {
-	e.stores++
-	block := addr.BlockOf(op.Addr)
-	off := int(op.Addr - block.Addr())
-
-	// Functional: update the program view in place (whole-word stores,
-	// the common case, skip the byte loop).
-	blk, _ := e.memory.GetOrCreate(block.Index())
-	if op.Size == 8 {
-		binary.LittleEndian.PutUint64(blk[off:off+8], op.Data)
-	} else {
-		for i := 0; i < int(op.Size); i++ {
-			blk[off+i] = byte(op.Data >> (8 * i))
-		}
-	}
-
-	// Timing+state: L1D write in parallel with PB acceptance.
-	e.hier.Store(block.Addr())
-
-	// Crash boundary: the program view and L1 hold the store but it has
-	// not reached the point of persistency yet.
-	if e.sink != nil {
-		e.sink.CrashPoint(crashpoint.StoreAccept, block)
-	}
-
-	if e.cfg.Scheme == config.SchemeSP {
-		return e.doStoreSP(block, blk)
-	}
-
-	// Retire completed drains.
-	e.reapDrains(e.now)
-
-	accStart := max(e.now, e.pbPortFree)
-
-	// Backflow test: the Lookup only matters when occupancy is at the
-	// limit, so check the cheap counter first.
-	if e.virtualOcc >= e.cfg.SecPBEntries && e.spb.Lookup(block) == nil {
-		// Backflow: the SecPB is full including in-flight drains; the
-		// store waits for the oldest drain to complete (draining is
-		// already in progress by watermark, but force one if not).
-		if len(e.inflight) == 0 {
-			if err := e.scheduleDrain(accStart); err != nil {
-				return err
-			}
-		}
-		wait := e.inflight[0]
-		if wait > accStart {
-			e.backpressure += wait - accStart
-			accStart = wait
-		}
-		e.reapDrains(accStart)
-	}
-
-	var cost core.AcceptCost
-	if err := e.spb.AcceptStoreInit(0, block, off, int(op.Size), op.Data, blk, accStart, &cost); err != nil {
-		return fmt.Errorf("engine: accept store: %w", err)
-	}
-	if cost.Allocated {
-		e.virtualOcc++
-		if e.virtualOcc > e.peakOcc {
-			e.peakOcc = e.virtualOcc
-		}
-	}
-
-	// Early-work timing follows Figure 4's dependency graph: the
-	// counter gates everything; OTP → ciphertext → MAC form one chain;
-	// the BMT walk branches off the counter in parallel. Distinct
-	// hardware units pipeline across stores ("generation of several
-	// MACs is overlapped with BMT updates", Sec VI.B), but stores
-	// unblock the store buffer in order (persist order invariant).
-	port := e.cfg.SecPBAccessCyc
-	if cost.Allocated && e.cfg.Scheme == config.SchemeOBCM {
-		// OBCM pays the SecPB access twice for new entries: once to
-		// write the data block, once to check the counter valid bit.
-		port += e.cfg.SecPBAccessCyc
-	}
-	t0 := accStart + port
-	e.pbPortFree = t0
-
-	tCtr := t0
-	if cost.CounterStep {
-		if cost.CtrCost.CtrFetchPM {
-			tCtr += e.cfg.PMReadCycles()
-		} else {
-			tCtr += e.cfg.CtrCache.AccessCycles
-		}
-	}
-	// OTP → ciphertext → MAC chain.
-	tChain := tCtr
-	if cost.OTPGenerated {
-		tChain += e.cfg.AESLatency
-	}
-	if cost.CipherXOR {
-		// Regenerating Dc costs a single-cycle XOR plus a SecPB write
-		// port access to update the entry's ciphertext field.
-		tChain += 1 + e.cfg.SecPBAccessCyc
-	}
-	if cost.MACGenerated {
-		tChain += e.cfg.MACLatency
-	}
-	// BMT branch (parallel with the MAC chain within this store: both
-	// hang off the counter, and "the generation of several MACs is
-	// overlapped with BMT updates", Sec VI.B).
-	tBMT := tCtr
-	if cost.BMTLevels > 0 {
-		tBMT += uint64(cost.BMTLevels)*e.cfg.MACLatency +
-			uint64(cost.BMTNodeFetch)*e.cfg.PMReadCycles()
-	}
-	// The unblocking signal: the SecPB accepts the next store only
-	// after this store's early tuple elements are updated (for NoGap,
-	// the complete tuple — the persist order invariant).
-	unblock := max(tChain, tBMT)
-	e.pbPortFree = unblock
-	e.lastUnblock = unblock
-
-	// The core proceeds unless the store buffer is full; then the
-	// shared watermark-drain epilogue.
-	e.now = e.sb.Push(e.now, unblock)
-	return e.storeDrainTail()
 }
 
 // doStoreSP models the SP baseline: every store streams through the

@@ -55,19 +55,7 @@ func (h *Hierarchy) Load(blockAddr uint64) AccessResult {
 	if h.l1.AccessRead(blockAddr) {
 		return AccessResult{Level: 1, Cycles: h.lat1}
 	}
-	if h.l2.AccessRead(blockAddr) {
-		h.l1.Fill(blockAddr, false, false)
-		return AccessResult{Level: 2, Cycles: h.lat2}
-	}
-	if h.l3.AccessRead(blockAddr) {
-		h.l2.Fill(blockAddr, false, false)
-		h.l1.Fill(blockAddr, false, false)
-		return AccessResult{Level: 3, Cycles: h.lat3}
-	}
-	h.l3.Fill(blockAddr, false, false)
-	h.l2.Fill(blockAddr, false, false)
-	h.l1.Fill(blockAddr, false, false)
-	return AccessResult{Level: 4, Cycles: h.lat4, PMAccess: true}
+	return h.loadBelowL1(blockAddr)
 }
 
 // LoadAfterL1Miss is Load for a caller that has just probed L1 for the
@@ -78,6 +66,12 @@ func (h *Hierarchy) Load(blockAddr uint64) AccessResult {
 // exactly as Load leaves them.
 func (h *Hierarchy) LoadAfterL1Miss(blockAddr uint64) AccessResult {
 	h.l1.RecountMiss()
+	return h.loadBelowL1(blockAddr)
+}
+
+// loadBelowL1 is Load past an L1 miss: probe L2 and L3, filling every
+// level above the one that serves the block.
+func (h *Hierarchy) loadBelowL1(blockAddr uint64) AccessResult {
 	if h.l2.AccessRead(blockAddr) {
 		h.l1.Fill(blockAddr, false, false)
 		return AccessResult{Level: 2, Cycles: h.lat2}
@@ -93,38 +87,14 @@ func (h *Hierarchy) LoadAfterL1Miss(blockAddr uint64) AccessResult {
 	return AccessResult{Level: 4, Cycles: h.lat4, PMAccess: true}
 }
 
-// Store performs a write of the block. Under a persistent hierarchy the
-// store simultaneously enters the persist buffer, so the line is marked
-// persist-dirty: its eventual eviction is silently discarded because the
-// PB guarantees the data reaches PM (paper Section IV.C). The store
-// allocates in L1 on a miss (write-allocate) but does not need the old
-// data from PM: the PB coalesces at word granularity.
-func (h *Hierarchy) Store(blockAddr uint64) AccessResult {
-	if h.l1.AccessPersist(blockAddr) {
-		return AccessResult{Level: 1, Cycles: h.lat1}
-	}
-	// Write-allocate without fetch: a PB-backed store needs no fill
-	// data from PM (the PB entry fetches/merges it), so the store pays
-	// only the allocation latency of the levels it traverses.
-	if h.l2.AccessPersist(blockAddr) {
-		h.l1.Fill(blockAddr, true, true)
-		return AccessResult{Level: 2, Cycles: h.lat2}
-	}
-	if h.l3.AccessPersist(blockAddr) {
-		h.l2.Fill(blockAddr, true, true)
-		h.l1.Fill(blockAddr, true, true)
-		return AccessResult{Level: 3, Cycles: h.lat3}
-	}
-	h.l3.Fill(blockAddr, true, true)
-	h.l2.Fill(blockAddr, true, true)
-	h.l1.Fill(blockAddr, true, true)
-	return AccessResult{Level: 4, Cycles: h.lat3}
-}
-
-// StoreTouch performs Store's cache-state mutations without assembling
-// an AccessResult: the engine's store path ignores the result (PB
-// acceptance, not the hierarchy, sets store timing), so the kernel
-// replay loop calls this form.
+// StoreTouch performs a write of the block. Under a persistent
+// hierarchy the store simultaneously enters the persist buffer, so the
+// line is marked persist-dirty: its eventual eviction is silently
+// discarded because the PB guarantees the data reaches PM (paper
+// Section IV.C). The store allocates in every level on a miss
+// (write-allocate) but needs no fill data from PM: the PB coalesces at
+// word granularity and fetches or merges the rest itself. No result is
+// returned because PB acceptance, not the hierarchy, sets store timing.
 func (h *Hierarchy) StoreTouch(blockAddr uint64) {
 	if h.l1.AccessPersist(blockAddr) {
 		return

@@ -153,12 +153,16 @@ func TestHierarchyLoadLevels(t *testing.T) {
 
 func TestHierarchyStoreNoPMFetch(t *testing.T) {
 	h := NewHierarchy(config.Default())
-	r := h.Store(0x2000)
-	if r.PMAccess {
-		t.Error("PB-backed store fetched from PM")
-	}
-	if r.Level != 4 {
-		t.Errorf("cold store level = %d", r.Level)
+	h.StoreTouch(0x2000)
+	// A cold store misses every level once and allocates in each of them
+	// without fetching: the lines are persist-dirty, not clean fills.
+	for _, c := range []*Cache{h.L1(), h.L2(), h.L3()} {
+		if hits, misses, _, _ := c.Stats(); hits != 0 || misses != 1 {
+			t.Errorf("%s: cold store hits/misses = %d/%d, want 0/1", c.Name(), hits, misses)
+		}
+		if row := c.row(0x2000); len(row) != 1 || row[0] != 0x2000|persistDirty {
+			t.Errorf("%s: set after a cold store = %#x, want one persist-dirty line", c.Name(), row)
+		}
 	}
 	// Store-allocated line serves subsequent loads from L1.
 	lr := h.Load(0x2000)

@@ -19,7 +19,7 @@ fi
 
 go test -race ./...
 
-# Exact-zero allocation pins for the kernel hot paths, plus the
+# Exact-zero allocation pins for the per-op hot paths, plus the
 # steady-state bounds of the crash-point capture (snapshot stores
 # recycle, so a capture allocates less than one table page), of
 # crash-point recovery (the controller reboots in place, so RecoverVerify
@@ -63,10 +63,12 @@ if ! diff -q "$tmp/table4_serial.txt" "$tmp/table4_parallel.txt"; then
 fi
 echo "table4 identical: serial/-memo=false vs parallel/memoized"
 
-# ... and across the wall-clock knobs: worker count, core count and
-# kernel choice are strategies, never allowed to leak into the artifact
-# bytes.
-for knobs in "-parallel 8" "-parallel 4 -cores 1" "-parallel 4 -kernels=false"; do
+# ... and across the wall-clock knobs: worker count and core count are
+# strategies, never allowed to leak into the artifact bytes. (The
+# engine's step path is diffed against its generic-interpreter oracle
+# by TestKernelMatchesGeneric and TestCrashPointsMatchGeneric in the
+# go test pass above.)
+for knobs in "-parallel 8" "-parallel 4 -cores 1"; do
     # shellcheck disable=SC2086
     "$tmp/secpb-bench" -exp table4 -ops 5000 $knobs \
         > "$tmp/table4_knobs.txt" 2>&1
@@ -75,7 +77,7 @@ for knobs in "-parallel 8" "-parallel 4 -cores 1" "-parallel 4 -kernels=false"; 
         exit 1
     fi
 done
-echo "table4 identical across -parallel, -cores and -kernels settings"
+echo "table4 identical across -parallel and -cores settings"
 
 # Persistent cell-cache gate: a warm -memodir run must replay from disk
 # byte-identically, and a corrupted record must be rejected and
@@ -131,20 +133,10 @@ echo "multicore battery grid identical: serial vs parallel"
 go build -o "$tmp/secpb-crash" ./cmd/secpb-crash
 "$tmp/secpb-crash" -schemes all -bench gcc -ops 1200 -points 30 -seed 42 \
     -out "$tmp/crash-matrix.json"
-# The crash matrix is kernel-agnostic: crash-sink runs disengage the
-# specialized kernels automatically, and the healthy golden replays
-# must be identical either way.
-"$tmp/secpb-crash" -schemes all -bench gcc -ops 1200 -points 30 -seed 42 \
-    -kernels=false -out "$tmp/crash-matrix-nokern.json"
-if ! diff -q "$tmp/crash-matrix.json" "$tmp/crash-matrix-nokern.json"; then
-    echo "ERROR: crash matrix differs with -kernels=false" >&2
-    exit 1
-fi
-echo "crash matrix identical with and without specialized kernels"
-# ... and identical to the checked-in golden: snapshot recycling, the
-# verified-path memo, the recovery hash memo and journal resealing are
-# wall-clock strategies and may not move a single injected point,
-# drained entry or checked block.
+# The crash matrix must be identical to the checked-in golden: snapshot
+# recycling, the verified-path memo, the recovery hash memo and journal
+# resealing are wall-clock strategies and may not move a single injected
+# point, drained entry or checked block.
 if ! diff -q results/crash-matrix-seed42.json "$tmp/crash-matrix.json"; then
     echo "ERROR: crash matrix differs from results/crash-matrix-seed42.json" >&2
     exit 1
@@ -153,7 +145,7 @@ echo "crash matrix identical to the checked-in seed-42 golden"
 
 # Experiment golden: a cold run of every experiment must reproduce the
 # checked-in artifact byte for byte, so no replay strategy (shared
-# traces, cell memo, kernels) can drift the paper's tables unnoticed.
+# traces, cell memo, batch replay) can drift the paper's tables unnoticed.
 "$tmp/secpb-bench" -exp all -ops 5000 > "$tmp/exp-all.txt" 2> /dev/null
 if ! diff -q results/exp-all-ops5000.txt "$tmp/exp-all.txt"; then
     echo "ERROR: -exp all -ops 5000 differs from results/exp-all-ops5000.txt" >&2
@@ -197,12 +189,12 @@ echo "SPB2 round-trips exactly and is >=2x smaller than SPB1 ($spb1_size -> $spb
 
 # Zoo replay-identity gate: the zoo artifact must be byte-identical
 # between live generation and SPB2 replay of recorded traces, across
-# the parallelism and kernel knobs.
+# the parallelism knob.
 "$tmp/secpb-bench" -exp zoo -ops 3000 -parallel 1 -memo=false \
     > "$tmp/zoo_live.txt" 2>&1
 "$tmp/secpb-bench" -exp zoo -ops 3000 -record -tracedir "$tmp/traces" \
     > "$tmp/zoo_recorded.txt" 2>&1
-"$tmp/secpb-bench" -exp zoo -ops 3000 -tracedir "$tmp/traces" -parallel 4 -kernels=false \
+"$tmp/secpb-bench" -exp zoo -ops 3000 -tracedir "$tmp/traces" -parallel 4 \
     > "$tmp/zoo_replay.txt" 2>&1
 for f in "$tmp/zoo_recorded.txt" "$tmp/zoo_replay.txt"; do
     # Strip the record-phase progress line before comparing.

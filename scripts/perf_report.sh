@@ -12,10 +12,8 @@
 #      the socket scales, the scheme x {1,8,64,256}-core battery grid
 #      wall-clock, and a byte-identity check of the grid between a serial
 #      run and a parallel run,
-#   6. specialized kernels + persistent grid cache (BENCH_PR8.json):
-#      BenchmarkEngineStore medians with kernels on, the kernel-vs-
-#      generic replay ratio, and cold vs warm -memodir wall-clock with
-#      byte-identity checks.
+#   6. persistent grid cache (BENCH_PR8.json): cold vs warm -memodir
+#      wall-clock with byte-identity checks.
 #
 # Run on an idle machine; results land in /tmp/secpb-perf/. The JSON in
 # BENCH_PR1.json is assembled by hand from these outputs together with a
@@ -100,27 +98,9 @@ else
 fi
 cat "$out/timing_multicore.json"
 
-echo "== specialized kernels + persistent grid cache =="
-# The 100ns criterion: BenchmarkEngineStore, kernels on (the default),
-# median of 5 x 2s runs. Noise on a 1-vCPU host is +/-15% — take the
-# median, never a single run. BenchmarkRunBatchVsRun compares the
-# columnar kernel replay (batched-pre) against the retained generic
-# interpreter (scalar, kernels pinned off) on a replay-bound stream.
-go test -bench 'BenchmarkEngineStore$' -benchmem -benchtime 2s -count 5 \
-    -run '^$' . | tee "$out/bench_kernels.txt"
-go test -bench 'BenchmarkRunBatchVsRun' -benchmem -benchtime 2s \
-    -run '^$' . | tee "$out/bench_kernel_ratio.txt"
-
-# Kernel-vs-oracle byte identity at the CLI, then the persistent cache:
-# cold populates, warm must replay from disk byte-identically, and a
+echo "== persistent grid cache =="
+# Cold populates, warm must replay from disk byte-identically, and a
 # byte flipped into every record must be rejected and recomputed.
-"$out/secpb-bench" -exp table4 -ops 60000 -kernels=false \
-    > "$out/table4_nokern.txt"
-if ! diff -q "$out/table4_serial.txt" "$out/table4_nokern.txt" > /dev/null; then
-    echo "ERROR: table4 differs with -kernels=false" >&2
-    exit 1
-fi
-echo "table4 identical with and without specialized kernels"
 
 rm -rf "$out/memod"
 time "$out/secpb-bench" -exp all -ops 20000 -memodir "$out/memod" \
