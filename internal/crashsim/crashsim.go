@@ -117,22 +117,6 @@ func (m *Matrix) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// cellSeed derives a per-cell seed so every cell samples an independent
-// but reproducible trigger set and trace.
-func cellSeed(base uint64, scheme config.Scheme, wl string) uint64 {
-	h := base ^ 0x9E3779B97F4A7C15
-	for _, s := range []string{scheme.String(), "/", wl} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 // chooseTriggers picks k distinct point ordinals out of total using
 // Floyd's sampling so huge totals never allocate more than k slots.
 // k<=0 or k>=total enumerates every point.
@@ -258,7 +242,7 @@ func RunCell(scheme config.Scheme, wl string, opts Options) (CellResult, error) 
 	if err != nil {
 		return cell, err
 	}
-	seed := cellSeed(opts.Seed, scheme, wl)
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl)
 	cfg := cellConfig(opts, scheme, seed)
 	ops, err := workload.Generate(prof, seed, opts.Ops)
 	if err != nil {

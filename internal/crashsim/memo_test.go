@@ -9,6 +9,7 @@ import (
 	"secpb/internal/config"
 	"secpb/internal/crypto"
 	"secpb/internal/workload"
+	"secpb/internal/xrand"
 )
 
 // memoCells are the cells the hash-memo tests run: an eager scheme on
@@ -29,7 +30,7 @@ func injectMemoCell(t *testing.T, scheme config.Scheme, wl string, h Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := cellSeed(16, scheme, wl)
+	seed := xrand.CellSeed(16, scheme.String(), wl)
 	cfg := cellConfig(Options{}, scheme, seed)
 	ops, err := workload.Generate(prof, seed, 2000)
 	if err != nil {

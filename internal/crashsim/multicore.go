@@ -15,6 +15,7 @@ import (
 	"secpb/internal/recovery"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
+	"secpb/internal/xrand"
 )
 
 // shardState is one memory-channel shard's crash image: the persisted
@@ -555,7 +556,7 @@ func RunSystemCell(scheme config.Scheme, wl string, cores int, opts Options) (Sy
 	if err != nil {
 		return SystemCellResult{Scheme: scheme.String(), Workload: wl, Cores: cores}, err
 	}
-	seed := cellSeed(opts.Seed, scheme, wl) ^ uint64(cores)<<48
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl) ^ uint64(cores)<<48
 	cfg := cellConfig(opts, scheme, seed).WithCores(cores)
 	perCore, err := SystemTrace(cfg, prof, opts.Ops)
 	if err != nil {

@@ -15,9 +15,11 @@ import (
 	"secpb/internal/config"
 	"secpb/internal/engine"
 	"secpb/internal/runner"
+	"secpb/internal/seal"
 	"secpb/internal/service"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
+	"secpb/internal/xrand"
 )
 
 // Service-level crash injection: the same differential discipline the
@@ -31,7 +33,7 @@ import (
 // durable cursor — the finished artifact is byte-identical to an
 // uninterrupted batch RunRecorded. A per-cell negative control tampers
 // a sealed checkpoint and requires resume to fail with a typed
-// *service.CorruptCheckpointError and fall back to a clean session.
+// *seal.CorruptError and fall back to a clean session.
 
 // ServiceOptions selects the service kill matrix and its budget.
 type ServiceOptions struct {
@@ -136,16 +138,6 @@ func (m *ServiceMatrix) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// fnv64a is the plain FNV-64a the service uses for state digests.
-func fnv64a(p []byte) uint64 {
-	h := uint64(14695981039346269159)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // serviceTrace prepares a cell's upload stream: the recorded ops, the
 // sealed per-segment frames, and the golden state digest after every
 // committed prefix (digest[p] = engine state after segments [0,p)).
@@ -191,7 +183,7 @@ func prepareServiceTrace(spec service.Spec, nops, segOps int) (*serviceTrace, er
 	if err != nil {
 		return nil, err
 	}
-	st.digests = append(st.digests, fnv64a(service.EncodeResult(eng.Collect())))
+	st.digests = append(st.digests, seal.Add(seal.Offset, service.EncodeResult(eng.Collect())))
 	for i, frame := range st.frames {
 		b, err := decodeFrame(frame)
 		if err != nil {
@@ -200,7 +192,7 @@ func prepareServiceTrace(spec service.Spec, nops, segOps int) (*serviceTrace, er
 		if err := eng.StepBatch(b); err != nil {
 			return nil, err
 		}
-		st.digests = append(st.digests, fnv64a(service.EncodeResult(eng.Collect())))
+		st.digests = append(st.digests, seal.Add(seal.Offset, service.EncodeResult(eng.Collect())))
 	}
 
 	res, err := engine.RunRecorded(cfg, prof, trace.NewSliceBatchSource(ops))
@@ -273,7 +265,7 @@ func finalizeWithRetry(s *service.Session) ([]byte, int, error) {
 func RunServiceCell(scheme config.Scheme, wl string, opts ServiceOptions) (ServiceCell, error) {
 	opts = opts.withDefaults()
 	cell := ServiceCell{Scheme: scheme.String(), Workload: wl, Ops: opts.Ops}
-	seed := cellSeed(opts.Seed, scheme, wl)
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl)
 	cell.Seed = seed
 	spec := service.Spec{Name: "cell", Scheme: scheme.String(), Bench: wl, Seed: seed}
 	st, err := prepareServiceTrace(spec, opts.Ops, opts.SegOps)
@@ -402,7 +394,7 @@ func RunServiceCell(scheme config.Scheme, wl string, opts ServiceOptions) (Servi
 
 // serviceTamperControl proves the differential harness can actually
 // see corruption: a sealed checkpoint with one flipped byte must fail
-// resume with a typed *service.CorruptCheckpointError, quarantine the
+// resume with a typed *seal.CorruptError, quarantine the
 // session, and leave the name free for a clean session.
 func serviceTamperControl(spec service.Spec, st *serviceTrace, scratch string,
 	svcOpts func(string) service.Options) (bool, error) {
@@ -448,7 +440,7 @@ func serviceTamperControl(spec service.Spec, st *serviceTrace, scratch string,
 	if len(causes) != 1 {
 		return false, nil
 	}
-	var cc *service.CorruptCheckpointError
+	var cc *seal.CorruptError
 	if !errors.As(causes[0], &cc) {
 		return false, nil
 	}

@@ -9,11 +9,8 @@
 package harness
 
 import (
-	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"hash/fnv"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,25 +18,11 @@ import (
 	"secpb/internal/config"
 	"secpb/internal/engine"
 	"secpb/internal/runner"
+	"secpb/internal/seal"
 )
 
 // cacheMagic opens every record file.
 const cacheMagic = "SPBC"
-
-// CorruptCacheError reports a cache record that failed validation:
-// bad magic, failed checksum, stale version stamp, or a payload that
-// does not decode cleanly. It is typed (mirroring nvm's
-// CorruptStateError discipline) so tests and tooling can distinguish
-// "the cache is damaged" from an ordinary miss; the memo path treats
-// both identically — fall back to simulation and rewrite.
-type CorruptCacheError struct {
-	Path   string
-	Detail string
-}
-
-func (e *CorruptCacheError) Error() string {
-	return fmt.Sprintf("harness: corrupt cache record %s: %s", e.Path, e.Detail)
-}
 
 // DiskStoreStats counts one store's activity.
 type DiskStoreStats struct {
@@ -49,63 +32,15 @@ type DiskStoreStats struct {
 	Saves   uint64 // records written
 }
 
-// recWriter serializes a record payload in fixed field order.
-type recWriter struct{ buf []byte }
-
-func (w *recWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *recWriter) i64(v int64)  { w.u64(uint64(v)) }
-func (w *recWriter) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *recWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// recReader consumes a record payload; any over-read marks it bad.
-type recReader struct {
-	buf []byte
-	pos int
-	bad bool
-}
-
-func (r *recReader) u64() uint64 {
-	if r.pos+8 > len(r.buf) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v
-}
-func (r *recReader) i64() int64   { return int64(r.u64()) }
-func (r *recReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *recReader) str() string {
-	n := r.u64()
-	if r.bad || uint64(r.pos)+n > uint64(len(r.buf)) {
-		r.bad = true
-		return ""
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
-}
-
-// done reports whether the payload decoded cleanly and completely:
-// no over-read and no trailing bytes (a short record that still seals
-// correctly must not silently zero-fill fields).
-func (r *recReader) done() bool { return !r.bad && r.pos == len(r.buf) }
-
-// diskStore is the shared record machinery: one file per key under
-// dir, record = magic | kind+version stamp | payload | FNV-64a seal.
-// Writes go through a temp file and an atomic rename, so a crashed or
-// concurrent writer can never expose a half-written record (it would
-// fail the seal anyway and be recomputed).
+// diskStore is the shared record machinery: one seal record per key
+// under dir, published by seal.WriteAtomic, so a crashed or concurrent
+// writer can never expose a half-written record (it would fail the
+// seal anyway and be recomputed).
 type diskStore[V any] struct {
 	dir  string
 	kind string // format discriminator + engine.ResultsVersion
-	enc  func(w *recWriter, v *V)
-	dec  func(r *recReader, v *V)
+	enc  func(w *seal.Writer, v *V)
+	dec  func(r *seal.Reader, v *V)
 	skip func(v *V) bool // veto persisting this value (may be nil)
 
 	mu    sync.Mutex
@@ -134,7 +69,7 @@ func (s *diskStore[V]) Load(key CellKey) (V, bool) {
 	return zero, false
 }
 
-// load reads and validates one record, returning a *CorruptCacheError
+// load reads and validates one record, returning a *seal.CorruptError
 // for anything structurally wrong with an existing file.
 func (s *diskStore[V]) load(key CellKey) (V, error) {
 	var v V
@@ -143,28 +78,12 @@ func (s *diskStore[V]) load(key CellKey) (V, error) {
 	if err != nil {
 		return v, err
 	}
-	if len(raw) < len(cacheMagic)+8 {
-		return v, &CorruptCacheError{Path: path, Detail: "truncated record"}
-	}
-	body, sealed := raw[:len(raw)-8], binary.LittleEndian.Uint64(raw[len(raw)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sealed {
-		return v, &CorruptCacheError{Path: path, Detail: "checksum mismatch"}
-	}
-	if string(body[:len(cacheMagic)]) != cacheMagic {
-		return v, &CorruptCacheError{Path: path, Detail: "bad magic"}
-	}
-	r := &recReader{buf: body[len(cacheMagic):]}
-	if kind := r.str(); kind != s.kind {
-		return v, &CorruptCacheError{Path: path,
-			Detail: fmt.Sprintf("version stamp %q, want %q", kind, s.kind)}
+	r, err := seal.Open(path, raw, cacheMagic, s.kind)
+	if err != nil {
+		return v, err
 	}
 	s.dec(r, &v)
-	if !r.done() {
-		return v, &CorruptCacheError{Path: path, Detail: "payload does not decode"}
-	}
-	return v, nil
+	return v, r.Done()
 }
 
 // Save implements runner.MemoStore. Failures are silent: the cache is
@@ -174,31 +93,13 @@ func (s *diskStore[V]) Save(key CellKey, v V) {
 	if s.skip != nil && s.skip(&v) {
 		return
 	}
-	w := &recWriter{buf: make([]byte, 0, 512)}
-	w.buf = append(w.buf, cacheMagic...)
-	w.str(s.kind)
-	s.enc(w, &v)
-	h := fnv.New64a()
-	h.Write(w.buf)
-	w.u64(h.Sum64())
-
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
-	if err != nil {
-		return
-	}
-	// Sync before the rename: a rename over unsynced data can surface
-	// after a power loss as a complete-looking but empty record.
-	_, werr := tmp.Write(w.buf)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if os.Rename(tmp.Name(), s.path(key)) != nil {
-		os.Remove(tmp.Name())
+	var w seal.Writer
+	s.enc(&w, &v)
+	rec := seal.Seal(cacheMagic, s.kind, w.Bytes())
+	if seal.WriteAtomic(s.path(key), func(f io.Writer) error {
+		_, err := f.Write(rec)
+		return err
+	}) != nil {
 		return
 	}
 	s.mu.Lock()
@@ -239,58 +140,58 @@ func NewDiskCellStore(dir string) (*DiskCellStore, error) {
 // encodeResult/decodeResult must walk the exact same field order; the
 // version stamp (via engine.ResultsVersion) changes whenever Result
 // does, so the pair never reads a record written under another layout.
-func encodeResult(w *recWriter, r *engine.Result) {
-	w.str(r.Benchmark)
-	w.i64(int64(r.Scheme))
-	w.u64(r.Cycles)
-	w.u64(r.Instructions)
-	w.u64(r.Loads)
-	w.u64(r.Stores)
-	w.f64(r.PPTI)
-	w.f64(r.NWPE)
-	w.f64(r.IPC)
-	w.u64(r.EntriesAllocated)
-	w.i64(int64(r.PeakOccupancy))
-	w.u64(r.BMTRootUpdates)
-	w.u64(r.EarlyBMTWalks)
-	w.u64(r.PBServedLoads)
-	w.u64(r.Backpressure)
-	w.u64(r.SBStall)
-	w.u64(r.LoadStall)
-	w.f64(r.GapMean)
-	w.u64(r.GapP99)
-	w.u64(r.PMReads)
-	w.u64(r.PMWrites)
-	w.f64(r.L1Hit)
-	w.f64(r.LLCHit)
-	w.u64(r.Reencryptions)
+func encodeResult(w *seal.Writer, r *engine.Result) {
+	w.Str(r.Benchmark)
+	w.I64(int64(r.Scheme))
+	w.U64(r.Cycles)
+	w.U64(r.Instructions)
+	w.U64(r.Loads)
+	w.U64(r.Stores)
+	w.F64(r.PPTI)
+	w.F64(r.NWPE)
+	w.F64(r.IPC)
+	w.U64(r.EntriesAllocated)
+	w.I64(int64(r.PeakOccupancy))
+	w.U64(r.BMTRootUpdates)
+	w.U64(r.EarlyBMTWalks)
+	w.U64(r.PBServedLoads)
+	w.U64(r.Backpressure)
+	w.U64(r.SBStall)
+	w.U64(r.LoadStall)
+	w.F64(r.GapMean)
+	w.U64(r.GapP99)
+	w.U64(r.PMReads)
+	w.U64(r.PMWrites)
+	w.F64(r.L1Hit)
+	w.F64(r.LLCHit)
+	w.U64(r.Reencryptions)
 }
 
-func decodeResult(rd *recReader, r *engine.Result) {
-	r.Benchmark = rd.str()
-	r.Scheme = config.Scheme(rd.i64())
-	r.Cycles = rd.u64()
-	r.Instructions = rd.u64()
-	r.Loads = rd.u64()
-	r.Stores = rd.u64()
-	r.PPTI = rd.f64()
-	r.NWPE = rd.f64()
-	r.IPC = rd.f64()
-	r.EntriesAllocated = rd.u64()
-	r.PeakOccupancy = int(rd.i64())
-	r.BMTRootUpdates = rd.u64()
-	r.EarlyBMTWalks = rd.u64()
-	r.PBServedLoads = rd.u64()
-	r.Backpressure = rd.u64()
-	r.SBStall = rd.u64()
-	r.LoadStall = rd.u64()
-	r.GapMean = rd.f64()
-	r.GapP99 = rd.u64()
-	r.PMReads = rd.u64()
-	r.PMWrites = rd.u64()
-	r.L1Hit = rd.f64()
-	r.LLCHit = rd.f64()
-	r.Reencryptions = rd.u64()
+func decodeResult(rd *seal.Reader, r *engine.Result) {
+	r.Benchmark = rd.Str()
+	r.Scheme = config.Scheme(rd.I64())
+	r.Cycles = rd.U64()
+	r.Instructions = rd.U64()
+	r.Loads = rd.U64()
+	r.Stores = rd.U64()
+	r.PPTI = rd.F64()
+	r.NWPE = rd.F64()
+	r.IPC = rd.F64()
+	r.EntriesAllocated = rd.U64()
+	r.PeakOccupancy = int(rd.I64())
+	r.BMTRootUpdates = rd.U64()
+	r.EarlyBMTWalks = rd.U64()
+	r.PBServedLoads = rd.U64()
+	r.Backpressure = rd.U64()
+	r.SBStall = rd.U64()
+	r.LoadStall = rd.U64()
+	r.GapMean = rd.F64()
+	r.GapP99 = rd.U64()
+	r.PMReads = rd.U64()
+	r.PMWrites = rd.U64()
+	r.L1Hit = rd.F64()
+	r.LLCHit = rd.F64()
+	r.Reencryptions = rd.U64()
 }
 
 // DiskBatteryStore persists multicore BatteryCell cells; attach with
@@ -315,28 +216,28 @@ func NewDiskBatteryStore(dir string) (*DiskBatteryStore, error) {
 	}}, nil
 }
 
-func encodeBatteryCell(w *recWriter, c *BatteryCell) {
-	w.str(c.Scheme)
-	w.i64(int64(c.Cores))
-	w.f64(c.WorstCaseJ)
-	w.f64(c.MeasuredJ)
-	w.i64(int64(c.PeakEntries))
-	w.f64(c.SuperCapMM3)
-	w.f64(c.LiThinMM3)
-	w.f64(c.AggIPC)
-	w.u64(c.Migrations)
-	w.u64(c.ReadFlushes)
+func encodeBatteryCell(w *seal.Writer, c *BatteryCell) {
+	w.Str(c.Scheme)
+	w.I64(int64(c.Cores))
+	w.F64(c.WorstCaseJ)
+	w.F64(c.MeasuredJ)
+	w.I64(int64(c.PeakEntries))
+	w.F64(c.SuperCapMM3)
+	w.F64(c.LiThinMM3)
+	w.F64(c.AggIPC)
+	w.U64(c.Migrations)
+	w.U64(c.ReadFlushes)
 }
 
-func decodeBatteryCell(rd *recReader, c *BatteryCell) {
-	c.Scheme = rd.str()
-	c.Cores = int(rd.i64())
-	c.WorstCaseJ = rd.f64()
-	c.MeasuredJ = rd.f64()
-	c.PeakEntries = int(rd.i64())
-	c.SuperCapMM3 = rd.f64()
-	c.LiThinMM3 = rd.f64()
-	c.AggIPC = rd.f64()
-	c.Migrations = rd.u64()
-	c.ReadFlushes = rd.u64()
+func decodeBatteryCell(rd *seal.Reader, c *BatteryCell) {
+	c.Scheme = rd.Str()
+	c.Cores = int(rd.I64())
+	c.WorstCaseJ = rd.F64()
+	c.MeasuredJ = rd.F64()
+	c.PeakEntries = int(rd.I64())
+	c.SuperCapMM3 = rd.F64()
+	c.LiThinMM3 = rd.F64()
+	c.AggIPC = rd.F64()
+	c.Migrations = rd.U64()
+	c.ReadFlushes = rd.U64()
 }

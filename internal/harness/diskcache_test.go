@@ -8,6 +8,7 @@ import (
 
 	"secpb/internal/config"
 	"secpb/internal/engine"
+	"secpb/internal/seal"
 	"secpb/internal/workload"
 )
 
@@ -70,9 +71,9 @@ func TestDiskCellStoreRejectsTruncatedRecord(t *testing.T) {
 	if _, ok := store.Load(key); ok {
 		t.Fatal("truncated record loaded")
 	}
-	var corrupt *CorruptCacheError
+	var corrupt *seal.CorruptError
 	if _, err := store.load(key); !errors.As(err, &corrupt) {
-		t.Fatalf("want *CorruptCacheError for truncated record, got %v", err)
+		t.Fatalf("want *seal.CorruptError for truncated record, got %v", err)
 	}
 	if s := store.Stats(); s.Corrupt != 1 {
 		t.Fatalf("corrupt record not counted: %+v", s)
@@ -94,9 +95,9 @@ func TestDiskCellStoreRejectsFlippedChecksumByte(t *testing.T) {
 	if _, ok := store.Load(key); ok {
 		t.Fatal("bit-flipped record loaded")
 	}
-	var corrupt *CorruptCacheError
+	var corrupt *seal.CorruptError
 	if _, err := store.load(key); !errors.As(err, &corrupt) {
-		t.Fatalf("want *CorruptCacheError for flipped byte, got %v", err)
+		t.Fatalf("want *seal.CorruptError for flipped byte, got %v", err)
 	}
 }
 
@@ -117,9 +118,9 @@ func TestDiskCellStoreRejectsStaleVersionStamp(t *testing.T) {
 	if _, ok := store.Load(key); ok {
 		t.Fatal("stale-version record loaded")
 	}
-	var corrupt *CorruptCacheError
+	var corrupt *seal.CorruptError
 	if _, err := store.load(key); !errors.As(err, &corrupt) {
-		t.Fatalf("want *CorruptCacheError for stale version, got %v", err)
+		t.Fatalf("want *seal.CorruptError for stale version, got %v", err)
 	}
 }
 

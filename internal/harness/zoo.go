@@ -7,11 +7,13 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"secpb/internal/config"
 	"secpb/internal/engine"
+	"secpb/internal/seal"
 	"secpb/internal/stats"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
@@ -32,8 +34,8 @@ func (o *Options) runRecorded(cfg config.Config, prof workload.Profile) (engine.
 // RecordTraces streams each named benchmark's generator to
 // <dir>/<name>.spb2 in the SPB2 format, using the same (seed, ops)
 // contract as engine.RunBenchmark — cfg.Seed and Options.Ops — so the
-// files replay byte-identically through Options.TraceDir. Writes are
-// atomic (temp file + rename), mirroring the cell cache's discipline.
+// files replay byte-identically through Options.TraceDir. Each file is
+// published by seal.WriteAtomic, as the cell cache's records are.
 func RecordTraces(dir string, names []string, seed, ops uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -55,32 +57,16 @@ func RecordTraces(dir string, names []string, seed, ops uint64) error {
 }
 
 func recordOne(dir, name string, gen *workload.Generator) error {
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	sw := trace.NewSegWriter(tmp, 0)
-	b := trace.NewBatch(trace.DefaultBatchCap)
-	for gen.NextBatch(b) {
-		if err := sw.WriteBatch(b); err != nil {
-			tmp.Close()
-			return err
+	return seal.WriteAtomic(filepath.Join(dir, name+".spb2"), func(f io.Writer) error {
+		sw := trace.NewSegWriter(f, 0)
+		b := trace.NewBatch(trace.DefaultBatchCap)
+		for gen.NextBatch(b) {
+			if err := sw.WriteBatch(b); err != nil {
+				return err
+			}
 		}
-	}
-	if err := sw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Durable before the rename publishes it under the trace's name.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name+".spb2"))
+		return sw.Flush()
+	})
 }
 
 // ZooRow is one workload's line of the zoo report: its stream

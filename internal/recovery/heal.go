@@ -15,6 +15,7 @@ import (
 	"secpb/internal/engine"
 	"secpb/internal/runner"
 	"secpb/internal/workload"
+	"secpb/internal/xrand"
 )
 
 // HealOptions selects the degraded-mode heal grid: every scheme ×
@@ -131,22 +132,6 @@ func (m *HealMatrix) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// healSeed derives a per-cell seed (same derivation discipline as the
-// crash matrix: independent but reproducible cells).
-func healSeed(base uint64, scheme config.Scheme, wl string) uint64 {
-	h := base ^ 0x9E3779B97F4A7C15
-	for _, s := range []string{scheme.String(), "/", wl} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 func (c *HealCell) fail(msg string) {
 	if c.FirstBad == "" {
 		c.FirstBad = msg
@@ -161,7 +146,7 @@ func RunHealCell(scheme config.Scheme, wl string, opts HealOptions) (HealCell, e
 	if err != nil {
 		return cell, err
 	}
-	seed := healSeed(opts.Seed, scheme, wl)
+	seed := xrand.CellSeed(opts.Seed, scheme.String(), wl)
 	cell.Seed = seed
 	cfg := config.Default().WithScheme(scheme)
 	cfg.Seed = seed

@@ -7,6 +7,7 @@ import (
 	"secpb/internal/core"
 	"secpb/internal/energy"
 	"secpb/internal/nvm"
+	"secpb/internal/seal"
 )
 
 // ErrBatteryExhausted reports that the battery budget died before the
@@ -56,7 +57,7 @@ func (j *Journal) Reset(entries []core.Entry) {
 	j.entries = append(j.entries[:0], entries...)
 	j.done = 0
 	j.sweepDone = false
-	j.entrySum = hashEntries(fnvOffset, j.entries)
+	j.entrySum = hashEntries(seal.Offset, j.entries)
 	j.fresh = true
 	j.seal()
 }
@@ -76,30 +77,30 @@ func (j *Journal) Complete() bool { return j.done == len(j.entries) && j.sweepDo
 
 // checksum folds the cursor and sweep flag into an entry digest.
 func (j *Journal) checksum(entrySum uint64) uint64 {
-	h := fnvU64(entrySum, uint64(j.done))
-	return fnvU64(h, boolBits(j.sweepDone))
+	h := seal.AddU64(entrySum, uint64(j.done))
+	return seal.AddU64(h, boolBits(j.sweepDone))
 }
 
 // hashEntries extends h over the entry count and every entry's identity
 // and payload: block, data, coalescing metadata, and the prepared-tuple
 // fields with their valid bits.
 func hashEntries(h uint64, entries []core.Entry) uint64 {
-	h = fnvU64(h, uint64(len(entries)))
+	h = seal.AddU64(h, uint64(len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		h = fnvU64(h, e.Block.Addr())
-		h = fnvAdd(h, e.Data[:])
-		h = fnvU64(h, uint64(e.ASID))
-		h = fnvU64(h, uint64(e.Writes))
-		h = fnvU64(h, e.Seq)
+		h = seal.AddU64(h, e.Block.Addr())
+		h = seal.Add(h, e.Data[:])
+		h = seal.AddU64(h, uint64(e.ASID))
+		h = seal.AddU64(h, uint64(e.Writes))
+		h = seal.AddU64(h, e.Seq)
 		m := &e.Ext
-		h = fnvU64(h, boolBits(m.OTPValid)|boolBits(m.CipherValid)<<1|boolBits(m.CounterValid)<<2|
+		h = seal.AddU64(h, boolBits(m.OTPValid)|boolBits(m.CipherValid)<<1|boolBits(m.CounterValid)<<2|
 			boolBits(m.BMTDone)<<3|boolBits(m.MACValid)<<4)
-		h = fnvAdd(h, m.OTP[:])
-		h = fnvAdd(h, m.Cipher[:])
-		h = fnvU64(h, m.Counter)
-		h = fnvU64(h, uint64(m.CounterAdvance))
-		h = fnvAdd(h, m.MAC[:])
+		h = seal.Add(h, m.OTP[:])
+		h = seal.Add(h, m.Cipher[:])
+		h = seal.AddU64(h, m.Counter)
+		h = seal.AddU64(h, uint64(m.CounterAdvance))
+		h = seal.Add(h, m.MAC[:])
 	}
 	return h
 }
@@ -109,30 +110,6 @@ func boolBits(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// FNV-1a over little-endian u64 fields, mirroring the nvm package's
-// NV-image checksums.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvAdd(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// fnvU64 extends h over v's eight little-endian bytes.
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(v >> (8 * i)))
-		h *= fnvPrime
-	}
-	return h
 }
 
 // seal re-signs the journal after a durable update: an O(1) fold of the
@@ -150,7 +127,7 @@ func (j *Journal) seal() { j.sum = j.checksum(j.entrySum) }
 func (j *Journal) Validate() error {
 	entrySum := j.entrySum
 	if !j.fresh {
-		entrySum = hashEntries(fnvOffset, j.entries)
+		entrySum = hashEntries(seal.Offset, j.entries)
 	}
 	j.fresh = false
 	if got := j.checksum(entrySum); got != j.sum {

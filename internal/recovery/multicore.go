@@ -5,6 +5,7 @@ import (
 
 	"secpb/internal/core"
 	"secpb/internal/nvm"
+	"secpb/internal/seal"
 )
 
 // CoreEntries is one battery-backed buffer's crash snapshot in a
@@ -66,9 +67,9 @@ func (j *SystemJournal) Complete() bool { return j.cursor == len(j.parts) }
 // journal's hashing so an entry swap between parts is as detectable as
 // a part swap.
 func hashParts(parts []CoreEntries) uint64 {
-	h := fnvU64(fnvOffset, uint64(len(parts)))
+	h := seal.AddU64(seal.Offset, uint64(len(parts)))
 	for i := range parts {
-		h = fnvU64(h, uint64(parts[i].Core))
+		h = seal.AddU64(h, uint64(parts[i].Core))
 		h = hashEntries(h, parts[i].Entries)
 	}
 	return h
@@ -76,12 +77,12 @@ func hashParts(parts []CoreEntries) uint64 {
 
 // seal re-signs the journal after a cursor advance, folding only the
 // cursor into the capture-time part digest.
-func (j *SystemJournal) seal() { j.sum = fnvU64(j.partSum, uint64(j.cursor)) }
+func (j *SystemJournal) seal() { j.sum = seal.AddU64(j.partSum, uint64(j.cursor)) }
 
 // Validate recomputes the checksum from the parts and checks it against
 // the seal.
 func (j *SystemJournal) Validate() error {
-	if got := fnvU64(hashParts(j.parts), uint64(j.cursor)); got != j.sum {
+	if got := seal.AddU64(hashParts(j.parts), uint64(j.cursor)); got != j.sum {
 		return &nvm.CorruptStateError{
 			Component: "cross-core drain journal",
 			Detail: fmt.Sprintf("checksum %#x does not match stored %#x over %d parts (cursor %d)",

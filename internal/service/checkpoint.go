@@ -1,19 +1,19 @@
 package service
 
 import (
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"secpb/internal/engine"
+	"secpb/internal/seal"
 )
 
-// Checkpoint manifest format — the same sealed-record discipline as
-// harness/diskcache: magic, a kind+version stamp, a fixed payload, and
-// a trailing FNV-64a seal over everything before it, written to a temp
-// file and atomically renamed into place. A manifest is tiny on
-// purpose: the durable session state is the append-only segment log,
+// Checkpoint manifest format: one seal record (magic, kind stamp, a
+// fixed payload, FNV-64a seal), published by seal.WriteAtomic — the
+// same record discipline as the harness cell cache. A manifest is tiny
+// on purpose: the durable session state is the append-only segment log,
 // and the manifest just seals a *cursor* into it (byte offset, segment
 // count, log hash chain, engine state digest). Resume replays the log
 // prefix the manifest names and refuses to proceed unless every seal,
@@ -27,27 +27,16 @@ const (
 
 // ckptKind stamps manifests with the service layout version and the
 // engine results version: either changing makes old checkpoints
-// unreadable (typed refusal), never silently misinterpreted.
-const ckptKind = "session-ckpt-v1/" + engine.ResultsVersion
+// unreadable (typed refusal, then quarantine), never silently
+// misinterpreted. v2 folds with the standard FNV-64a basis and writes
+// u64-length strings; a v1 session directory is refused.
+const ckptKind = "session-ckpt-v2/" + engine.ResultsVersion
 
 // Session lifecycle states persisted in the manifest.
 const (
 	ckptStateActive    = 1 // accepting segments
 	ckptStateFinalized = 2 // result.json sealed; log closed
 )
-
-// CorruptCheckpointError reports a session checkpoint (manifest, log,
-// or result artifact) that fails verification. The server treats it as
-// grounds for quarantine: the session directory is moved aside and the
-// name becomes available for a clean session.
-type CorruptCheckpointError struct {
-	Path   string
-	Detail string
-}
-
-func (e *CorruptCheckpointError) Error() string {
-	return fmt.Sprintf("service: corrupt checkpoint %s: %s", e.Path, e.Detail)
-}
 
 // manifest is a session's sealed durable cursor.
 type manifest struct {
@@ -62,142 +51,60 @@ type manifest struct {
 }
 
 func (m *manifest) encode() []byte {
-	var buf []byte
-	buf = append(buf, ckptMagic...)
-	buf = appendStr(buf, ckptKind)
-	buf = appendStr(buf, m.Spec.Name)
-	buf = appendStr(buf, m.Spec.Scheme)
-	buf = appendStr(buf, m.Spec.Bench)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Spec.Seed)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Spec.Entries))
-	buf = binary.LittleEndian.AppendUint64(buf, m.State)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Segs)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Ops)
-	buf = binary.LittleEndian.AppendUint64(buf, m.LogBytes)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Chain)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Digest)
-	buf = binary.LittleEndian.AppendUint64(buf, m.ResultDigest)
-	seal := fnvUpdate(fnvInit(), buf)
-	return binary.LittleEndian.AppendUint64(buf, seal)
+	var w seal.Writer
+	w.Str(m.Spec.Name)
+	w.Str(m.Spec.Scheme)
+	w.Str(m.Spec.Bench)
+	w.U64(m.Spec.Seed)
+	w.I64(int64(m.Spec.Entries))
+	w.U64(m.State)
+	w.U64(m.Segs)
+	w.U64(m.Ops)
+	w.U64(m.LogBytes)
+	w.U64(m.Chain)
+	w.U64(m.Digest)
+	w.U64(m.ResultDigest)
+	return seal.Seal(ckptMagic, ckptKind, w.Bytes())
 }
 
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// decodeManifest verifies the seal, magic, and kind stamp before
-// trusting a single payload byte, mirroring diskStore.load.
+// decodeManifest verifies the seal, magic, and kind stamp (seal.Open)
+// before trusting a single payload byte.
 func decodeManifest(path string, raw []byte) (*manifest, error) {
-	bad := func(detail string) (*manifest, error) {
-		return nil, &CorruptCheckpointError{Path: path, Detail: detail}
-	}
-	if len(raw) < len(ckptMagic)+8 {
-		return bad(fmt.Sprintf("short manifest: %d bytes", len(raw)))
-	}
-	body, tail := raw[:len(raw)-8], raw[len(raw)-8:]
-	if got, want := binary.LittleEndian.Uint64(tail), fnvUpdate(fnvInit(), body); got != want {
-		return bad(fmt.Sprintf("seal mismatch: stored %016x computed %016x", got, want))
-	}
-	if string(body[:len(ckptMagic)]) != ckptMagic {
-		return bad("bad magic")
-	}
-	r := manifestReader{buf: body[len(ckptMagic):], path: path}
-	kind := r.str()
-	if r.err == nil && kind != ckptKind {
-		return bad(fmt.Sprintf("kind stamp %q (want %q)", kind, ckptKind))
+	r, err := seal.Open(path, raw, ckptMagic, ckptKind)
+	if err != nil {
+		return nil, err
 	}
 	var m manifest
-	m.Spec.Name = r.str()
-	m.Spec.Scheme = r.str()
-	m.Spec.Bench = r.str()
-	m.Spec.Seed = r.u64()
-	m.Spec.Entries = int(r.u64())
-	m.State = r.u64()
-	m.Segs = r.u64()
-	m.Ops = r.u64()
-	m.LogBytes = r.u64()
-	m.Chain = r.u64()
-	m.Digest = r.u64()
-	m.ResultDigest = r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return bad(fmt.Sprintf("%d trailing bytes after payload", len(r.buf)))
+	m.Spec.Name = r.Str()
+	m.Spec.Scheme = r.Str()
+	m.Spec.Bench = r.Str()
+	m.Spec.Seed = r.U64()
+	m.Spec.Entries = int(r.I64())
+	m.State = r.U64()
+	m.Segs = r.U64()
+	m.Ops = r.U64()
+	m.LogBytes = r.U64()
+	m.Chain = r.U64()
+	m.Digest = r.U64()
+	m.ResultDigest = r.U64()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if m.State != ckptStateActive && m.State != ckptStateFinalized {
-		return bad(fmt.Sprintf("unknown session state %d", m.State))
+		return nil, &seal.CorruptError{Path: path, Detail: fmt.Sprintf("unknown session state %d", m.State)}
 	}
 	return &m, nil
 }
 
-type manifestReader struct {
-	buf  []byte
-	path string
-	err  error
-}
-
-func (r *manifestReader) fail(detail string) {
-	if r.err == nil {
-		r.err = &CorruptCheckpointError{Path: r.path, Detail: detail}
-	}
-}
-
-func (r *manifestReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *manifestReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	n, used := binary.Uvarint(r.buf)
-	if used <= 0 || n > uint64(len(r.buf)-used) {
-		r.fail("truncated string")
-		return ""
-	}
-	s := string(r.buf[used : used+int(n)])
-	r.buf = r.buf[used+int(n):]
-	return s
-}
-
-// writeManifest persists a manifest with crash-safe atomicity: temp
-// file in the same directory, contents fsynced, rename over the old
-// manifest, directory fsynced. A kill at any instant leaves either the
-// previous sealed manifest or the new one — never a torn mix.
+// writeManifest atomically replaces the session's manifest: a kill at
+// any instant leaves either the previous sealed manifest or the new
+// one, never a torn mix. It returns the manifest's size.
 func writeManifest(dir string, m *manifest) (int, error) {
-	path := filepath.Join(dir, ckptFile)
 	enc := m.encode()
-	tmp, err := os.CreateTemp(dir, ckptFile+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(enc); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
-	}
-	return len(enc), syncDir(dir)
+	return len(enc), seal.WriteAtomic(filepath.Join(dir, ckptFile), func(w io.Writer) error {
+		_, err := w.Write(enc)
+		return err
+	})
 }
 
 // loadManifest reads and verifies a session's manifest.
@@ -206,19 +113,9 @@ func loadManifest(dir string) (*manifest, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, &CorruptCheckpointError{Path: path, Detail: "missing manifest"}
+			return nil, &seal.CorruptError{Path: path, Detail: "missing manifest"}
 		}
 		return nil, err
 	}
 	return decodeManifest(path, raw)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

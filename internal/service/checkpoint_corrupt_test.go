@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"secpb/internal/engine"
+	"secpb/internal/seal"
 )
 
 // Corruption suite, mirroring harness/diskcache_test.go at session
 // scope: damage a sealed checkpoint every way a disk can and prove the
-// server (a) refuses resume with a typed *CorruptCheckpointError, and
+// server (a) refuses resume with a typed *seal.CorruptError, and
 // (b) falls back to a clean session under the same name — never a
 // partial restore.
 
@@ -76,9 +79,9 @@ func expectQuarantine(t *testing.T, dataDir, label string) {
 	if len(causes) != 1 {
 		t.Fatalf("%s: %d quarantine reports, want 1", label, len(causes))
 	}
-	var cc *CorruptCheckpointError
+	var cc *seal.CorruptError
 	if !errors.As(causes[0], &cc) {
-		t.Fatalf("%s: quarantine cause %T (%v), want *CorruptCheckpointError", label, causes[0], causes[0])
+		t.Fatalf("%s: quarantine cause %T (%v), want *seal.CorruptError", label, causes[0], causes[0])
 	}
 	// Clean-session fallback: the name is immediately reusable.
 	createSession(t, sv, testSpec("victim"))
@@ -130,8 +133,8 @@ func TestCheckpointRejectsEveryTruncation(t *testing.T) {
 	}
 }
 
-// A missing manifest, a tampered log body, and a log shorter than the
-// sealed cursor are all typed refusals too.
+// A missing or v1 manifest, a tampered log body, and a log shorter than
+// the sealed cursor are all typed refusals too.
 func TestCheckpointRejectsDamagedLog(t *testing.T) {
 	pristine := pristineDir(t)
 	sessDir := filepath.Join(pristine, "sessions", "victim")
@@ -145,6 +148,20 @@ func TestCheckpointRejectsDamagedLog(t *testing.T) {
 	}{
 		{"missing manifest", func(t *testing.T, dir string) {
 			os.Remove(filepath.Join(dir, ckptFile))
+		}},
+		{"v1 manifest", func(t *testing.T, dir string) {
+			// A correctly sealed manifest under the v1 kind stamp is
+			// refused on the stamp alone, before its payload is read.
+			path := filepath.Join(dir, ckptFile)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := raw[len(ckptMagic)+8+len(ckptKind) : len(raw)-8]
+			v1 := seal.Seal(ckptMagic, "session-ckpt-v1/"+engine.ResultsVersion, payload)
+			if err := os.WriteFile(path, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}},
 		{"log byte flipped", func(t *testing.T, dir string) {
 			mut := append([]byte(nil), logRaw...)

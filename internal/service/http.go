@@ -10,6 +10,7 @@ import (
 	"os"
 	"strconv"
 
+	"secpb/internal/seal"
 	"secpb/internal/trace"
 )
 
@@ -53,7 +54,7 @@ func errStatus(err error) (code int, tag string, retryAfter int) {
 		sc  *SpecConflictError
 		et  *trace.EmptyTraceError
 		ct  *trace.CorruptTraceError
-		cc  *CorruptCheckpointError
+		cc  *seal.CorruptError
 	)
 	switch {
 	case errors.As(err, &qf):

@@ -5,27 +5,8 @@ import (
 	"fmt"
 
 	"secpb/internal/engine"
+	"secpb/internal/seal"
 )
-
-// FNV-64a, carried as a resumable uint64 chain. hash/fnv cannot be
-// re-seeded from a stored state, so the service keeps the running hash
-// of its segment log as a plain integer that survives checkpoints.
-const (
-	fnvOffset64 = 14695981039346269159
-	fnvPrime64  = 1099511628211
-)
-
-// fnvInit is the FNV-64a offset basis — the chain value of an empty log.
-func fnvInit() uint64 { return fnvOffset64 }
-
-// fnvUpdate folds p into a running FNV-64a state.
-func fnvUpdate(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // resultJSON is the canonical wire/artifact mirror of engine.Result.
 // Field order is fixed by the struct, floats render via Go's shortest
@@ -105,5 +86,5 @@ func EncodeResult(r engine.Result) []byte {
 // identity check: a resumed session must reproduce the digest its
 // checkpoint sealed before it may accept new segments.
 func stateDigest(r engine.Result) uint64 {
-	return fnvUpdate(fnvInit(), EncodeResult(r))
+	return seal.Add(seal.Offset, EncodeResult(r))
 }

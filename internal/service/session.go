@@ -11,6 +11,7 @@ import (
 
 	"secpb/internal/engine"
 	"secpb/internal/recovery"
+	"secpb/internal/seal"
 	"secpb/internal/trace"
 )
 
@@ -178,6 +179,11 @@ func newSession(spec Spec, dir string, opts Options, kill <-chan struct{}, metri
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// The session directory's entry must be durable before the create
+	// is acknowledged, or a power loss can take the whole session.
+	if err := seal.SyncDir(filepath.Dir(dir)); err != nil {
+		return nil, err
+	}
 	logPath := filepath.Join(dir, logFile)
 	logF, err := os.OpenFile(logPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -202,7 +208,7 @@ func newSession(spec Spec, dir string, opts Options, kill <-chan struct{}, metri
 		eng:       eng,
 		logF:      logF,
 		logW:      bufio.NewWriter(logF),
-		procChain: fnvInit(),
+		procChain: seal.Offset,
 		metrics:   metrics,
 	}
 	if err := s.checkpoint(ckptStateActive); err != nil {
@@ -217,7 +223,7 @@ func newSession(spec Spec, dir string, opts Options, kill <-chan struct{}, metri
 // the sealed manifest, truncate the log to the durable cursor (a kill
 // may have left a torn tail past it), replay exactly the sealed prefix
 // through a fresh engine, and cross-check the log hash chain and the
-// engine state digest. Any disagreement is a *CorruptCheckpointError —
+// engine state digest. Any disagreement is a *seal.CorruptError —
 // there is no partial restore.
 func resumeSession(dir string, opts Options, kill <-chan struct{}, metrics *Metrics) (*Session, error) {
 	m, err := loadManifest(dir)
@@ -225,7 +231,7 @@ func resumeSession(dir string, opts Options, kill <-chan struct{}, metrics *Metr
 		return nil, err
 	}
 	corrupt := func(path, format string, args ...interface{}) error {
-		return &CorruptCheckpointError{Path: path, Detail: fmt.Sprintf(format, args...)}
+		return &seal.CorruptError{Path: path, Detail: fmt.Sprintf(format, args...)}
 	}
 	if err := m.Spec.Validate(); err != nil {
 		return nil, corrupt(filepath.Join(dir, ckptFile), "sealed spec no longer valid: %v", err)
@@ -258,7 +264,7 @@ func resumeSession(dir string, opts Options, kill <-chan struct{}, metrics *Metr
 		if err != nil {
 			return nil, corrupt(resPath, "finalized session missing result: %v", err)
 		}
-		if got := fnvUpdate(fnvInit(), enc); got != m.ResultDigest {
+		if got := seal.Add(seal.Offset, enc); got != m.ResultDigest {
 			return nil, corrupt(resPath, "result digest %016x, manifest sealed %016x", got, m.ResultDigest)
 		}
 		s.state = stateFinalized
@@ -356,12 +362,12 @@ func hashLogTail(path string, n uint64) (uint64, error) {
 	defer f.Close()
 	var hdr [trace.SPB2HeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, &CorruptCheckpointError{Path: path, Detail: fmt.Sprintf("short log header: %v", err)}
+		return 0, &seal.CorruptError{Path: path, Detail: fmt.Sprintf("short log header: %v", err)}
 	}
 	if string(hdr[:]) != string(trace.SPB2Header()) {
-		return 0, &CorruptCheckpointError{Path: path, Detail: "log header is not SPB2"}
+		return 0, &seal.CorruptError{Path: path, Detail: "log header is not SPB2"}
 	}
-	chain := fnvInit()
+	chain := seal.Offset
 	buf := make([]byte, 64<<10)
 	remain := n - trace.SPB2HeaderLen
 	for remain > 0 {
@@ -371,9 +377,9 @@ func hashLogTail(path string, n uint64) (uint64, error) {
 		}
 		k, err := io.ReadFull(f, buf[:chunk])
 		if err != nil {
-			return 0, &CorruptCheckpointError{Path: path, Detail: fmt.Sprintf("short log body: %v", err)}
+			return 0, &seal.CorruptError{Path: path, Detail: fmt.Sprintf("short log body: %v", err)}
 		}
-		chain = fnvUpdate(chain, buf[:k])
+		chain = seal.Add(chain, buf[:k])
 		remain -= uint64(k)
 	}
 	return chain, nil
@@ -556,7 +562,7 @@ func (s *Session) apply(m segMsg) error {
 	if _, err := s.logW.Write(m.frame); err != nil {
 		return err
 	}
-	s.procChain = fnvUpdate(s.procChain, m.frame)
+	s.procChain = seal.Add(s.procChain, m.frame)
 	s.procBytes += uint64(len(m.frame))
 	if err := s.eng.StepBatch(m.batch); err != nil {
 		return err
@@ -644,7 +650,10 @@ func (s *Session) doFinalize() {
 		return
 	}
 
-	if err := writeFileAtomic(filepath.Join(s.dir, resFile), enc); err != nil {
+	if err := seal.WriteAtomic(filepath.Join(s.dir, resFile), func(w io.Writer) error {
+		_, err := w.Write(enc)
+		return err
+	}); err != nil {
 		s.fail(err)
 		return
 	}
@@ -656,7 +665,7 @@ func (s *Session) doFinalize() {
 		LogBytes:     trace.SPB2HeaderLen + s.procBytes,
 		Chain:        s.procChain,
 		Digest:       stateDigest(res),
-		ResultDigest: fnvUpdate(fnvInit(), enc),
+		ResultDigest: seal.Add(seal.Offset, enc),
 	}
 	n, err := writeManifest(s.dir, &m)
 	if err != nil {
@@ -733,29 +742,4 @@ func (s *Session) halt() {
 	if wd != nil {
 		<-wd
 	}
-}
-
-// writeFileAtomic writes data with the temp+fsync+rename discipline.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }

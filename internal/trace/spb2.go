@@ -26,9 +26,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
+
+	"secpb/internal/seal"
 )
 
 // magic2 identifies the segmented columnar trace format.
@@ -61,9 +62,10 @@ const (
 // CorruptTraceError reports structural damage in an SPB2 stream: a bad
 // magic, an unsupported version stamp, a failed segment checksum, a
 // truncation, or columns that do not decode to valid ops. It is typed
-// (mirroring harness.CorruptCacheError) so callers can distinguish "the
-// trace is damaged" from I/O errors; nothing damaged is ever silently
-// decoded.
+// so callers can distinguish "the trace is damaged" from I/O errors;
+// nothing damaged is ever silently decoded. It stays apart from
+// seal.CorruptError because it covers client uploads (an HTTP 400, not
+// a quarantine) and carries the segment ordinal.
 type CorruptTraceError struct {
 	Seg    int // 0-based segment ordinal (-1 for the file header)
 	Detail string
@@ -194,11 +196,9 @@ func (sw *SegWriter) seal() error {
 	if _, err := sw.w.Write(sw.scratch); err != nil {
 		return err
 	}
-	h := fnv.New64a()
-	h.Write(sw.scratch)
-	var seal [8]byte
-	binary.LittleEndian.PutUint64(seal[:], h.Sum64())
-	if _, err := sw.w.Write(seal[:]); err != nil {
+	var sum [8]byte
+	binary.LittleEndian.PutUint64(sum[:], seal.Add(seal.Offset, sw.scratch))
+	if _, err := sw.w.Write(sum[:]); err != nil {
 		return err
 	}
 	sw.cols.Reset()
@@ -413,13 +413,11 @@ func (sr *SegReader) ReadSegment(b *Batch) error {
 	if _, err := io.ReadFull(sr.r, sr.payload); err != nil {
 		return sr.corrupt("truncated payload (%d bytes expected): %v", plen, err)
 	}
-	var seal [8]byte
-	if _, err := io.ReadFull(sr.r, seal[:]); err != nil {
+	var sum [8]byte
+	if _, err := io.ReadFull(sr.r, sum[:]); err != nil {
 		return sr.corrupt("truncated seal: %v", err)
 	}
-	h := fnv.New64a()
-	h.Write(sr.payload)
-	if h.Sum64() != binary.LittleEndian.Uint64(seal[:]) {
+	if seal.Add(seal.Offset, sr.payload) != binary.LittleEndian.Uint64(sum[:]) {
 		return sr.corrupt("checksum mismatch")
 	}
 	if err := sr.decodePayload(b); err != nil {
@@ -705,9 +703,7 @@ func ScanSegments(r io.Reader, fn func(seg int, frame []byte) error) (int, error
 		if _, err := io.ReadFull(br, frame[off:]); err != nil {
 			return seg, &CorruptTraceError{Seg: seg, Detail: fmt.Sprintf("truncated payload (%d bytes expected): %v", plen, err)}
 		}
-		h := fnv.New64a()
-		h.Write(frame[off : off+int(plen)])
-		if h.Sum64() != binary.LittleEndian.Uint64(frame[off+int(plen):]) {
+		if seal.Add(seal.Offset, frame[off:off+int(plen)]) != binary.LittleEndian.Uint64(frame[off+int(plen):]) {
 			return seg, &CorruptTraceError{Seg: seg, Detail: "checksum mismatch"}
 		}
 		if fn != nil {

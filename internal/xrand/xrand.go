@@ -7,6 +7,8 @@
 // xoshiro256**) with explicit seeds.
 package xrand
 
+import "secpb/internal/seal"
+
 // SplitMix64 is the splitmix64 generator. It is used mainly to expand a
 // single user seed into the larger state required by Rand.
 type SplitMix64 struct {
@@ -125,4 +127,16 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
+}
+
+// CellSeed derives the seed of one scheme × workload cell of a crash
+// or heal grid from the grid's base seed, so every cell samples an
+// independent but reproducible trigger set and trace.
+func CellSeed(base uint64, scheme, workload string) uint64 {
+	h := seal.Add(base^0x9E3779B97F4A7C15, []byte(scheme))
+	h = seal.Add(h, []byte{'/'})
+	if h = seal.Add(h, []byte(workload)); h == 0 {
+		return 1
+	}
+	return h
 }

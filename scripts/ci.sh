@@ -40,10 +40,12 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # AES-NI OTP paths must agree with their hand-rolled references, the
 # paged table and the persist buffer must agree with their map models,
 # the cache model must agree with its move-to-front LRU reference, and
-# every seeded corruption must be flagged, on every gate run.
+# every seeded corruption must be flagged, and every sealed record must
+# either open to a payload that re-seals to the same bytes or be
+# refused, on every gate run.
 go test -run Fuzz ./internal/crypto/... ./internal/ptable/... \
     ./internal/pb/... ./internal/recovery/... ./internal/trace/... \
-    ./internal/mem/...
+    ./internal/mem/... ./internal/seal/...
 
 # Determinism gate: the table4 artifact must be byte-identical between a
 # serial run and a parallel memoized run — the cell memo, the worker pool
