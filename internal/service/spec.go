@@ -2,10 +2,10 @@
 // trace-streaming service: clients create named sessions and stream
 // SPB2 trace segments into them; each session steps the same engine
 // RunRecorded drives, appends accepted segments to a sealed on-disk
-// log, and periodically checkpoints its cursor state with the
-// temp+rename discipline of harness/diskcache, so a killed-and-
-// restarted server resumes every session from its last checkpoint and
-// produces results byte-identical to an uninterrupted run. Robustness
+// log, and periodically checkpoints its cursor state as a sealed record
+// published by seal.WriteAtomic, so a killed-and-restarted server
+// resumes every session from its last checkpoint and produces results
+// byte-identical to an uninterrupted run. Robustness
 // is the contract: bounded ingest queues with backpressure, admission
 // control with a global session cap, idempotent segment upload keyed
 // by segment ordinal (at-least-once delivery is safe), and typed
