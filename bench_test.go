@@ -228,23 +228,6 @@ func BenchmarkOTPGen(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkOTPGenReference measures the same pad on the hand-rolled
-// T-table AES (the pre-overhaul cost and differential-test oracle).
-func BenchmarkOTPGenReference(b *testing.B) {
-	e, err := crypto.NewEngine([]byte("bench-key"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink byte
-	for i := 0; i < b.N; i++ {
-		pad := e.OTPReference(uint64(i)<<6, uint64(i))
-		sink ^= pad[0]
-	}
-	_ = sink
-}
-
 // Hash-layer micro-benchmarks: the keyed-midstate fast path against the
 // hand-rolled reference, and per-walk vs batched BMT update cost.
 

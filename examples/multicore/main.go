@@ -76,14 +76,14 @@ func main() {
 	for c := 0; c < cores; c++ {
 		parts = append(parts, recovery.CoreEntries{
 			Core: c, MC: restore(sys.Core(c).Controller()),
-			Entries: sys.Core(c).SecPB().SnapshotEntries(),
+			Entries: sys.Core(c).SecPB().AppendEntries(nil),
 		})
 	}
 	sharedMC := restore(sys.Shared().Controller())
 	for c := 0; c < cores; c++ {
 		parts = append(parts, recovery.CoreEntries{
 			Core: c, MC: sharedMC,
-			Entries: sys.Shared().SecPB(c).SnapshotEntries(),
+			Entries: sys.Shared().SecPB(c).AppendEntries(nil),
 		})
 	}
 

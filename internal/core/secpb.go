@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"secpb/internal/addr"
 	"secpb/internal/config"
@@ -352,20 +353,19 @@ func (s *SecPB) InFlightDrain() *Entry { return s.inflight }
 // sink receiving the SecPB's entry-allocation crash points.
 func (s *SecPB) SetCrashSink(sink crashpoint.Sink) { s.sink = sink }
 
-// SnapshotEntries returns value copies of the battery-covered entries at
-// this instant: the in-flight drain entry first (it was the FIFO head),
-// then the resident entries oldest-first. This is the state a crash
-// snapshot preserves alongside the NV image.
-func (s *SecPB) SnapshotEntries() []Entry {
-	ents := s.buf.Entries()
-	out := make([]Entry, 0, len(ents)+1)
+// AppendEntries appends value copies of the battery-covered entries at
+// this instant to dst and returns the extended slice: the in-flight
+// drain entry first (it was the FIFO head), then the resident entries
+// oldest-first. This is the state a crash snapshot preserves alongside
+// the NV image. dst grows at most once, to fit them all, so a caller
+// that recycles its slice (dst[:0]) copies without allocating.
+func (s *SecPB) AppendEntries(dst []Entry) []Entry {
+	dst = slices.Grow(dst, s.buf.Len()+1)
 	if s.inflight != nil {
-		out = append(out, *s.inflight)
+		dst = append(dst, *s.inflight)
 	}
-	for _, e := range ents {
-		out = append(out, *e)
-	}
-	return out
+	s.buf.Walk(func(e *Entry) { dst = append(dst, *e) })
+	return dst
 }
 
 // RemoveForMigration extracts the entry for a block so it can migrate
@@ -466,13 +466,13 @@ func (s *SecPB) CrashDrain() (entries int, total nvm.Cost, err error) {
 // the drain path must regenerate them (the directory-based coherence of
 // Section IV.C between metadata caches and SecPBs).
 func (s *SecPB) invalidatePage(page uint64) {
-	for _, e := range s.buf.Entries() {
+	s.buf.Walk(func(e *Entry) {
 		if e.Block.Page() != page {
-			continue
+			return
 		}
 		if e.Ext.CounterValid || e.Ext.OTPValid || e.Ext.CipherValid || e.Ext.MACValid || e.Ext.BMTDone {
 			s.invalidated++
 		}
 		e.Ext = SecMeta{}
-	}
+	})
 }

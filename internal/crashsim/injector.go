@@ -171,7 +171,8 @@ func (in *Injector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
 // after the entry's data is in battery-backed storage, so it is exact at
 // every hook site regardless of which micro-op (backflow drain,
 // watermark drain, sweep) the point interrupts. The previous capture's
-// stores, however its handler left them, are the copy destinations.
+// stores and entry slice, however its handler left them, are the copy
+// destinations.
 func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 	spb := in.eng.SecPB()
 	mc := in.eng.Controller()
@@ -195,7 +196,7 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 		ctrs:       mc.Counters().SnapshotInto(snap.ctrs),
 		macs:       mc.MACs().SnapshotInto(snap.macs),
 		tree:       mc.Tree().SnapshotInto(snap.tree),
-		entries:    spb.SnapshotEntries(),
+		entries:    spb.AppendEntries(snap.entries[:0]),
 		rec:        snap.rec,
 	}
 	return snap

@@ -12,7 +12,7 @@ import (
 	"secpb/internal/xrand"
 )
 
-// memoCells are the cells the hash-memo tests run: an eager scheme on
+// memoCells are the cells the recovery-memo tests run: an eager scheme on
 // the compute-heavy trace and the lazy baseline on the store-heavy one.
 var memoCells = []struct {
 	scheme config.Scheme
@@ -42,12 +42,13 @@ func injectMemoCell(t *testing.T, scheme config.Scheme, wl string, h Handler) {
 	}
 }
 
-// TestRecoveryMemoHitRate pins the hash memo's effect on crash-point
+// TestRecoveryMemoHitRate pins the memo's effect on crash-point
 // recovery: over a cell's 120 points, at least 90% of the recovery
-// engine's MACs and node hashes must be served from the memo (about
-// 97% at the time of writing), and the counts must repeat exactly on a
-// second identical run — the memo's slot choice is a pure function of
-// the inputs, so its work is as reproducible as the findings.
+// engine's MACs, node hashes and pads together, and at least 90% of its
+// pads alone, must be served from the memo (93–97% and 96–99% at
+// the time of writing), and the counts must repeat exactly on a second
+// identical run — the memo's slot choice is a pure function of the
+// inputs, so its work is as reproducible as the findings.
 func TestRecoveryMemoHitRate(t *testing.T) {
 	for _, c := range memoCells {
 		t.Run(c.scheme.String()+"/"+c.wl, func(t *testing.T) {
@@ -71,15 +72,19 @@ func TestRecoveryMemoHitRate(t *testing.T) {
 				}
 			}
 			s := runs[0]
-			t.Logf("%+v: %.1f%% served", s, 100*s.Served())
+			padServed := float64(s.PadHits) / float64(s.PadHits+s.PadMisses)
+			t.Logf("%+v: %.1f%% served, pads %.1f%%", s, 100*s.Served(), 100*padServed)
 			if runs[1] != s {
 				t.Errorf("memo counts differ between identical runs: %+v vs %+v", s, runs[1])
 			}
-			if s.MACHits+s.MACMisses == 0 || s.NodeHits+s.NodeMisses == 0 || s.NodeBypasses != 0 {
+			if s.MACHits+s.MACMisses == 0 || s.NodeHits+s.NodeMisses == 0 || s.PadHits+s.PadMisses == 0 || s.NodeBypasses != 0 {
 				t.Fatalf("recovery bypassed the memo: %+v", s)
 			}
 			if got := s.Served(); got < 0.90 {
-				t.Errorf("memo served %.1f%% of recovery hashes, want >= 90%%", 100*got)
+				t.Errorf("memo served %.1f%% of recovery lookups, want >= 90%%", 100*got)
+			}
+			if padServed < 0.90 {
+				t.Errorf("memo served %.1f%% of recovery pads, want >= 90%%", 100*padServed)
 			}
 		})
 	}
@@ -142,11 +147,11 @@ func tamperImage(t *testing.T, snap *Snapshot, kind string) string {
 	return fmt.Sprintf("%s at block %#x", kind, b.Addr())
 }
 
-// TestRecoveryMemoTamperMatrix is the differential check that the hash
-// memo never carries trust from one crash point to the next. Each cell
-// runs twice, with and without the memo. The first 40 points recover
-// untouched images, which warms the memo with the tags and digests of
-// a healthy image; every later point first damages the image in one of
+// TestRecoveryMemoTamperMatrix is the differential check that the memo
+// never carries trust from one crash point to the next. Each cell runs
+// twice, with and without the memo (its pad, MAC and node tables
+// together). The first 40 points recover untouched images, which warms
+// the memo with the pads, tags and digests of a healthy image; every later point first damages the image in one of
 // four ways — a flipped ciphertext byte, a flipped stored MAC byte, a
 // rolled-back counter, an overwritten BMT interior node — on blocks the
 // memo has seen intact. Both runs must produce the same VerifyResult
@@ -181,8 +186,10 @@ func TestRecoveryMemoTamperMatrix(t *testing.T) {
 					if (snap.rec.memo != nil) == noMemo {
 						t.Fatalf("memo attached = %v with noMemo = %v", snap.rec.memo != nil, noMemo)
 					}
-					if !noMemo && n == warm && snap.rec.memo.Stats().MACHits == 0 {
-						t.Fatal("memo still cold after the warm-up points")
+					if !noMemo && n == warm {
+						if s := snap.rec.memo.Stats(); s.MACHits == 0 || s.PadHits == 0 {
+							t.Fatalf("memo still cold after the warm-up points: %+v", s)
+						}
 					}
 					results[mode] = append(results[mode], res)
 					return nil

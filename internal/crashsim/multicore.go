@@ -374,14 +374,14 @@ func (in *systemInjector) capture(k crashpoint.Kind, i uint64) (*SystemSnapshot,
 		spb := eng.SecPB()
 		stores, _ := spb.Stats()
 		snap.Committed = append(snap.Committed, int(stores))
-		snap.priv = append(snap.priv, captureShard(eng.Controller().Config(), eng.Controller(), spb.SnapshotEntries()))
+		snap.priv = append(snap.priv, captureShard(eng.Controller().Config(), eng.Controller(), spb.AppendEntries(nil)))
 	}
 	sharedMC := in.sys.Shared().Controller()
 	for c := 0; c < n; c++ {
 		spb := in.sys.Shared().SecPB(c)
 		stores, _ := spb.Stats()
 		snap.SharedCommitted = append(snap.SharedCommitted, int(stores))
-		snap.sharedEntries = append(snap.sharedEntries, spb.SnapshotEntries())
+		snap.sharedEntries = append(snap.sharedEntries, spb.AppendEntries(nil))
 	}
 	snap.shared = captureShard(sharedMC.Config(), sharedMC, nil)
 

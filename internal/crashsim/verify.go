@@ -39,7 +39,7 @@ func (v *VerifyResult) fail(msg string) {
 // recoverer is the recovery state a Snapshot keeps from one crash point
 // to the next, beside its recycled stores: the controller every
 // recovery reboots onto the captured image, the late-work journal, the
-// verification scratch, and the hash memo on the controller's engine.
+// verification scratch, and the memo on the controller's engine.
 // Each recovery overwrites all but the memo before reading it — Reboot
 // brings the controller up cold, Reset re-captures the journal — and a
 // memo hit is the hash a fresh computation returns, so recycling any of
@@ -48,22 +48,25 @@ type recoverer struct {
 	mc      *nvm.Controller
 	journal recovery.Journal
 	verifier
-	// memo serves the recovery engine's MACs and node hashes for the
-	// whole cell: consecutive crash images share almost every block,
+	// memo serves the recovery engine's MACs, node hashes and pads for
+	// the whole cell: consecutive crash images share almost every block,
 	// counter line and tree node, so the checker re-authenticates each
 	// distinct input with one SHA-512 compression per cell instead of
-	// one per point.
+	// one per point, and derives each (address, counter) pad — which
+	// FetchBlock's decrypt and check 4's re-encrypt both need — with one
+	// AES pass per cell instead of two per point.
 	memo *crypto.HashMemo
 	// noMemo boots the controller without a memo; tests set it to
 	// compare findings with and without one.
 	noMemo bool
 }
 
-// memoSlots sizes each of the recovery memo's two tables (MAC and node
-// hash). A 2,000-op, 120-point kvstore cell hashes about 230 distinct
-// MAC inputs and 940 distinct node inputs; at 1024 slots, collisions
-// cost it about five points of hit rate, and twice the slots bought no
-// measurable crash-matrix speed for the extra memory.
+// memoSlots sizes each of the recovery memo's three tables (MAC, node
+// hash and pad). A 2,000-op, 120-point kvstore cell hashes about 230
+// distinct MAC inputs and 940 distinct node inputs; at 1024 slots,
+// collisions cost it about five points of hit rate, and twice the slots
+// bought no measurable crash-matrix speed for the extra memory. The
+// pad table serves about 96% of that cell's pads at this size.
 const memoSlots = 1024
 
 // verifier is verifyImage's scratch, reused across images: the audit's
@@ -76,7 +79,7 @@ type verifier struct {
 }
 
 // boot power-cycles the snapshot's recovery controller onto an NV
-// image, building the controller — and attaching the hash memo to its
+// image, building the controller — and attaching the memo to its
 // engine — on the snapshot's first recovery.
 func (s *Snapshot) boot(pm *nvm.PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) (*nvm.Controller, error) {
 	if s.rec.mc == nil {

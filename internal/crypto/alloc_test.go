@@ -29,9 +29,9 @@ func TestMACIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemoizedHashZeroAlloc pins the memoized MAC and node hash to zero
-// heap allocations, on hits and on misses: the memo's tables and key
-// scratch are allocated when it is built.
+// TestMemoizedHashZeroAlloc pins the memoized MAC, node hash and pad to
+// zero heap allocations, on hits and on misses: the memo's tables and
+// key scratch are allocated when it is built.
 func TestMemoizedHashZeroAlloc(t *testing.T) {
 	e, err := NewEngine([]byte("alloc test key"))
 	if err != nil {
@@ -40,10 +40,12 @@ func TestMemoizedHashZeroAlloc(t *testing.T) {
 	e.SetMemo(NewHashMemo(16))
 	var cipher [CacheLineSize]byte
 	var mac [MACSize]byte
+	var pad [CacheLineSize]byte
 	node := make([]byte, 72)
 	ctr := uint64(0)
 	if avg := testing.AllocsPerRun(20_000, func() {
 		e.MACInto(&mac, &cipher, 0x40*(ctr%32), ctr%32)
+		e.OTPInto(&pad, 0x40*(ctr%32), ctr%32)
 		node[0] = byte(ctr % 32)
 		e.HashNode(node)
 		ctr++

@@ -364,3 +364,50 @@ func TestPadReuseLeaksXOR(t *testing.T) {
 		t.Fatal("fresh counter still leaks plaintext XOR")
 	}
 }
+
+// xorReference is the byte loop XOR replaced: the oracle for the
+// word-wide form.
+func xorReference(dst, a, b *[CacheLineSize]byte) {
+	for i := range dst {
+		dst[i] = a[i] ^ b[i]
+	}
+}
+
+// TestXORMatchesByteLoop holds the word-wide XOR against the byte loop
+// over random blocks, into a separate destination and in place (dst ==
+// a, the staged-drain encrypt, and dst == b).
+func TestXORMatchesByteLoop(t *testing.T) {
+	r := xrand.New(11)
+	fill := func(blk *[CacheLineSize]byte) {
+		for i := range blk {
+			blk[i] = byte(r.Uint64())
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		var a, b, got, want [CacheLineSize]byte
+		fill(&a)
+		fill(&b)
+		XOR(&got, &a, &b)
+		xorReference(&want, &a, &b)
+		if got != want {
+			t.Fatalf("trial %d: XOR %x, byte loop %x", trial, got, want)
+		}
+		inA, inB := a, b
+		XOR(&inA, &inA, &b)
+		XOR(&inB, &a, &inB)
+		if inA != want || inB != want {
+			t.Fatalf("trial %d: in-place XOR differs from the byte loop", trial)
+		}
+	}
+}
+
+func BenchmarkXOR(b *testing.B) {
+	var x, y [CacheLineSize]byte
+	for i := range x {
+		x[i], y[i] = byte(i), byte(3*i)
+	}
+	b.SetBytes(CacheLineSize)
+	for i := 0; i < b.N; i++ {
+		XOR(&x, &x, &y)
+	}
+}

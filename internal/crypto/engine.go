@@ -1,11 +1,25 @@
+// Package crypto implements the cryptographic primitives SecPB's memory
+// controller uses: AES counter-mode one-time pads for data encryption,
+// and SHA-512 for BMT node hashes and block MACs.
+//
+// Pads come from the standard library's AES (AES-NI on amd64); its
+// hand-rolled T-table oracle lives in the package's tests. SHA-512 is
+// written from scratch, with a stdlib keyed-midstate fast path (see
+// fast512.go). The hand-rolled code is table-based and NOT constant
+// time — it models a hardware engine inside a simulator and must never
+// be used to protect real data.
 package crypto
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"sync"
 )
+
+// BlockSize is the AES block size in bytes.
+const BlockSize = aes.BlockSize
 
 // CacheLineSize is the size of a memory block protected as a unit (64B),
 // matching the paper's cache line and SecPB entry data size.
@@ -29,13 +43,12 @@ const MACSize = 64
 // MACReference / HashNodeReference recompute the same digests on the
 // hand-rolled SHA512 for differential testing.
 type Engine struct {
-	aes *Cipher
-	// fastAES is the stdlib AES cipher for the same sub-key: on amd64 it
-	// compiles to AES-NI instructions, so the pad-generation hot path
-	// costs a few cycles per block instead of a T-table round loop. The
-	// hand-rolled Cipher remains the differential-test reference
-	// (OTPReference, FuzzOTPFastVsReference).
+	// fastAES is the stdlib AES-128 cipher under padKey: on amd64 it
+	// compiles to AES-NI instructions, so a pad costs a few cycles per
+	// block. The package tests hold it against a hand-rolled T-table
+	// oracle (OTPReference, FuzzOTPFastVsReference).
 	fastAES cipher.Block
+	padKey  [16]byte
 	macKey  [32]byte
 	// fast is the per-engine stdlib digest (plus scratch) the midstates
 	// are restored into; macMid/nodeMid are the shared, immutable
@@ -52,9 +65,9 @@ type Engine struct {
 	// models one hardware unit and is not concurrency-safe.
 	otpSeed [BlockSize]byte
 	otpPad  [CacheLineSize]byte
-	// memo, when set, answers MACs and node hashes whose full input it
-	// has already hashed (see HashMemo). Only crash-recovery checkers
-	// attach one; every other engine leaves it nil.
+	// memo, when set, answers pads, MACs and node hashes whose full
+	// input it has already derived (see HashMemo). Only crash-recovery
+	// checkers attach one; every other engine leaves it nil.
 	memo *HashMemo
 }
 
@@ -62,13 +75,13 @@ type Engine struct {
 // AES key schedule, the MAC sub-key, and the key-block midstates for the
 // fast hash path. Experiment sweeps build hundreds of controllers under
 // the same master key (one per simulated system); caching the derivation
-// means the SHA-512 key stretch, the Rijndael key expansion, and the two
+// means the SHA-512 key stretch, the AES key expansion, and the two
 // midstate captures run once per distinct key, not once per simulation.
-// The *Cipher and midstate slices are shared across engines — they are
+// The cipher and midstate slices are shared across engines — they are
 // immutable and safe for concurrent use.
 type derived struct {
-	aes     *Cipher
 	fastAES cipher.Block
+	padKey  [16]byte
 	macKey  [32]byte
 	macMid  []byte
 	nodeMid []byte
@@ -97,18 +110,12 @@ func NewEngine(key []byte) (*Engine, error) {
 		// Derive independent sub-keys via SHA-512 so a single master
 		// secret configures the whole engine.
 		sum := Sum512(append([]byte("secpb-engine-v1:"), key...))
-		aesRef, err := NewCipher(sum[:16]) // AES-128 pad generator
+		std, err := aes.NewCipher(sum[:16]) // AES-128 pad generator
 		if err != nil {
 			return nil, err
 		}
-		d = derived{aes: aesRef}
-		// The stdlib cipher is pure acceleration: same AES-128 under the
-		// same sub-key, hardware instructions where available. A nil
-		// fastAES (cannot happen for a valid 16-byte key) would simply
-		// leave the reference path in use.
-		if std, err := aes.NewCipher(sum[:16]); err == nil {
-			d.fastAES = std
-		}
+		d = derived{fastAES: std}
+		copy(d.padKey[:], sum[:16])
 		copy(d.macKey[:], sum[16:48])
 		macBlock := keyBlock(&d.macKey)
 		nodeBlock := keyBlock(&d.macKey, 0xB7) // domain separation from MAC
@@ -132,7 +139,7 @@ func NewEngine(key []byte) (*Engine, error) {
 		deriveCache[k] = d
 		deriveMu.Unlock()
 	}
-	e := &Engine{aes: d.aes, fastAES: d.fastAES, macKey: d.macKey}
+	e := &Engine{fastAES: d.fastAES, padKey: d.padKey, macKey: d.macKey}
 	if d.fastOK {
 		if fast, ok := newFastHasher(); ok {
 			e.fast = fast
@@ -146,9 +153,8 @@ func NewEngine(key []byte) (*Engine, error) {
 
 // OTP computes the 64-byte one-time pad for a block at the given physical
 // block address with the given counter value. The pad is the AES
-// encryption of four distinct (addr, counter, lane) seeds. The stdlib
-// cipher (AES-NI on amd64) computes it when available; OTPReference is
-// the hand-rolled oracle the differential fuzzer holds it against.
+// encryption of four distinct (addr, counter, lane) seeds under the
+// stdlib cipher (AES-NI on amd64).
 func (e *Engine) OTP(blockAddr uint64, counter uint64) [CacheLineSize]byte {
 	var pad [CacheLineSize]byte
 	e.OTPInto(&pad, blockAddr, counter)
@@ -160,10 +166,15 @@ func (e *Engine) OTP(blockAddr uint64, counter uint64) [CacheLineSize]byte {
 // copies when the pad's destination (a persist-buffer entry field)
 // already exists.
 func (e *Engine) OTPInto(dst *[CacheLineSize]byte, blockAddr uint64, counter uint64) {
-	if e.fastAES == nil {
-		*dst = e.OTPReference(blockAddr, counter)
+	if e.memo != nil {
+		e.memo.otpInto(e, dst, blockAddr, counter)
 		return
 	}
+	e.otpInto(dst, blockAddr, counter)
+}
+
+// otpInto derives the pad without consulting the memo.
+func (e *Engine) otpInto(dst *[CacheLineSize]byte, blockAddr uint64, counter uint64) {
 	binary.LittleEndian.PutUint64(e.otpSeed[0:], blockAddr)
 	for lane := 0; lane < CacheLineSize/BlockSize; lane++ {
 		binary.LittleEndian.PutUint64(e.otpSeed[8:], counter<<2|uint64(lane))
@@ -171,25 +182,11 @@ func (e *Engine) OTPInto(dst *[CacheLineSize]byte, blockAddr uint64, counter uin
 	}
 }
 
-// OTPReference computes the same pad on the from-scratch T-table AES —
-// the differential-test oracle for the fast path.
-func (e *Engine) OTPReference(blockAddr uint64, counter uint64) [CacheLineSize]byte {
-	var pad [CacheLineSize]byte
-	var seed [BlockSize]byte
-	binary.LittleEndian.PutUint64(seed[0:], blockAddr)
-	for lane := 0; lane < CacheLineSize/BlockSize; lane++ {
-		binary.LittleEndian.PutUint64(seed[8:], counter<<2|uint64(lane))
-		e.aes.Encrypt(pad[lane*BlockSize:], seed[:])
-	}
-	return pad
-}
-
-// XOR writes dst = a XOR b for 64-byte blocks. In hardware this is the
-// single-cycle ciphertext generation step.
+// XOR writes dst = a XOR b for 64-byte blocks, a machine word at a
+// time; dst may be a (the in-place encrypt of a staged drain). In
+// hardware this is the single-cycle ciphertext generation step.
 func XOR(dst, a, b *[CacheLineSize]byte) {
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
+	subtle.XORBytes(dst[:], a[:], b[:])
 }
 
 // Encrypt returns the ciphertext of a 64-byte plaintext block under the
@@ -248,13 +245,14 @@ func (e *Engine) macInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockA
 }
 
 // SetMemo attaches a hash memo to the engine, or detaches it with nil.
-// From then on MAC, MACInto and HashNode answer from the memo whenever
-// it holds their exact input, and fill it otherwise. A memo last used
-// under a different key is emptied first. Memoized results are
-// bit-identical to direct ones, so attaching a memo changes no output.
+// From then on OTP, OTPInto, Encrypt, Decrypt, MAC, MACInto and
+// HashNode answer from the memo whenever it holds their exact input,
+// and fill it otherwise. A memo last used under different sub-keys is
+// emptied first. Memoized results are bit-identical to direct ones, so
+// attaching a memo changes no output.
 func (e *Engine) SetMemo(m *HashMemo) {
 	if m != nil {
-		m.bind(&e.macKey)
+		m.bind(&e.padKey, &e.macKey)
 	}
 	e.memo = m
 }

@@ -16,18 +16,21 @@ const macTailLen = 16 + CacheLineSize
 // memo and is hashed directly.
 const MemoNodeInputMax = 72
 
-// HashMemo is a full-input memo of an engine's keyed hashes: it maps a
-// MAC input (address, counter, ciphertext) to its tag and a node-hash
-// input to its digest. A crash checker recovers one image after another
-// that differ in a handful of blocks, so most of what it authenticates —
+// HashMemo is a full-input memo of an engine's keyed functions: it maps
+// a MAC input (address, counter, ciphertext) to its tag, a node-hash
+// input to its digest, and a pad input (address, counter) to its
+// one-time pad. A crash checker recovers one image after another that
+// differ in a handful of blocks, so most of what it authenticates —
 // per-block MACs, counter-line leaves, interior nodes — it has already
-// hashed at an earlier crash point.
+// hashed at an earlier crash point, and most blocks it decrypts and
+// re-encrypts it has already padded under the same counter.
 //
 // A hit requires the whole input to equal, byte for byte, one the memo
-// hashed under the same engine key, so the stored output is exactly
-// what a fresh computation returns: a memo trusts no earlier verdict,
-// only the determinism of SHA-512. Callers still compare every tag and
-// digest they would compare without it.
+// computed under the same engine sub-keys, so the stored output is
+// exactly what a fresh computation returns: a memo trusts no earlier
+// verdict, only the determinism of SHA-512 and AES. Callers still
+// compare every tag, digest and plaintext they would compare without
+// it.
 //
 // The tables are direct-mapped and preallocated: a deterministic mix of
 // the input picks one slot, a collision evicts the slot's occupant, and
@@ -38,7 +41,9 @@ const MemoNodeInputMax = 72
 type HashMemo struct {
 	mac     []macSlot
 	node    []nodeSlot
+	pad     []padSlot
 	shift   uint // 64 - log2(table length)
+	padKey  [16]byte
 	key     [32]byte
 	keyed   bool
 	stats   MemoStats
@@ -58,28 +63,36 @@ type nodeSlot struct {
 	out  [Size512]byte
 }
 
+type padSlot struct {
+	used          bool
+	addr, counter uint64
+	out           [CacheLineSize]byte
+}
+
 // MemoStats counts a HashMemo's lookups since it was built or last
-// bound to a new key. Every MAC call through a memoized engine is a MAC
-// hit or miss; every node hash is a node hit, a node miss, or (for
-// inputs longer than MemoNodeInputMax) a bypass.
+// bound to new keys. Every MAC call through a memoized engine is a MAC
+// hit or miss, and every pad a pad hit or miss; every node hash is a
+// node hit, a node miss, or (for inputs longer than MemoNodeInputMax) a
+// bypass.
 type MemoStats struct {
 	MACHits, MACMisses   uint64
 	NodeHits, NodeMisses uint64
 	NodeBypasses         uint64
+	PadHits, PadMisses   uint64
 }
 
-// Served returns the share of all memoized-engine hash calls answered
-// from the memo.
+// Served returns the share of all memoized-engine calls answered from
+// the memo.
 func (s MemoStats) Served() float64 {
-	calls := s.MACHits + s.MACMisses + s.NodeHits + s.NodeMisses + s.NodeBypasses
+	calls := s.MACHits + s.MACMisses + s.NodeHits + s.NodeMisses + s.NodeBypasses + s.PadHits + s.PadMisses
 	if calls == 0 {
 		return 0
 	}
-	return float64(s.MACHits+s.NodeHits) / float64(calls)
+	return float64(s.MACHits+s.NodeHits+s.PadHits) / float64(calls)
 }
 
-// NewHashMemo builds a memo whose MAC and node tables each hold slots
-// entries, rounded up to a power of two (minimum one).
+// NewHashMemo builds a memo whose MAC, node and pad tables each hold
+// slots entries, rounded up to a power of two (minimum one).
 func NewHashMemo(slots int) *HashMemo {
 	b := uint(0)
 	for 1<<b < slots {
@@ -88,6 +101,7 @@ func NewHashMemo(slots int) *HashMemo {
 	return &HashMemo{
 		mac:   make([]macSlot, 1<<b),
 		node:  make([]nodeSlot, 1<<b),
+		pad:   make([]padSlot, 1<<b),
 		shift: 64 - b,
 	}
 }
@@ -99,19 +113,20 @@ func (m *HashMemo) Stats() MemoStats { return m.stats }
 func (m *HashMemo) reset() {
 	clear(m.mac)
 	clear(m.node)
+	clear(m.pad)
 	m.stats = MemoStats{}
 	m.keyed = false
 }
 
-// bind ties the memo to an engine key. Entries computed under another
-// key would be wrong outputs under this one, so a memo moving to an
-// engine with a different key starts empty.
-func (m *HashMemo) bind(key *[32]byte) {
-	if m.keyed && m.key == *key {
+// bind ties the memo to an engine's pad and MAC sub-keys. Entries
+// computed under other keys would be wrong outputs under these, so a
+// memo moving to an engine with a different sub-key starts empty.
+func (m *HashMemo) bind(padKey *[16]byte, key *[32]byte) {
+	if m.keyed && m.padKey == *padKey && m.key == *key {
 		return
 	}
 	m.reset()
-	m.key, m.keyed = *key, true
+	m.padKey, m.key, m.keyed = *padKey, *key, true
 }
 
 // mix folds an input into a slot index for a table addressed with the
@@ -122,16 +137,45 @@ func (m *HashMemo) bind(key *[32]byte) {
 func mix(in []byte, shift uint) uint64 {
 	h := uint64(len(in)) * 0x9E3779B97F4A7C15
 	for len(in) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(in)) * 0xBF58476D1CE4E5B9
-		h ^= h >> 31
+		h = mixWord(h, binary.LittleEndian.Uint64(in))
 		in = in[8:]
 	}
 	for _, b := range in {
 		h = (h ^ uint64(b)) * 0x94D049BB133111EB
 	}
+	return mixFinal(h, shift)
+}
+
+// mixPad is mix over the 16-byte pad input (address, counter), without
+// assembling the bytes: padSeed is mix's length seed for 16 bytes.
+func mixPad(blockAddr, counter uint64, shift uint) uint64 {
+	const padSeed = 16 * 0x9E3779B97F4A7C15 & (1<<64 - 1)
+	return mixFinal(mixWord(mixWord(padSeed, blockAddr), counter), shift)
+}
+
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0xBF58476D1CE4E5B9
+	return h ^ h>>31
+}
+
+func mixFinal(h uint64, shift uint) uint64 {
 	h ^= h >> 29
 	h *= 0xBF58476D1CE4E5B9
 	return h >> shift
+}
+
+// otpInto is OTPInto through the memo.
+func (m *HashMemo) otpInto(e *Engine, dst *[CacheLineSize]byte, blockAddr, counter uint64) {
+	s := &m.pad[mixPad(blockAddr, counter, m.shift)]
+	if s.used && s.addr == blockAddr && s.counter == counter {
+		m.stats.PadHits++
+		*dst = s.out
+		return
+	}
+	m.stats.PadMisses++
+	e.otpInto(&s.out, blockAddr, counter)
+	s.addr, s.counter, s.used = blockAddr, counter, true
+	*dst = s.out
 }
 
 // macInto is MACInto through the memo.

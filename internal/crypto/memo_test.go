@@ -2,24 +2,27 @@ package crypto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // memoScriptInputs decodes one step of a FuzzHashMemoVsDirect script.
 // Inputs come from small pools so that a script revisits them (hits)
 // and overflows a tiny table with distinct ones (evictions):
-//   - op%3 == 0: a MAC over one of four addresses, four counters and
+//   - op%4 == 0: a MAC over one of four addresses, four counters and
 //     four ciphertexts, so the same address recurs under different
 //     counters and the same (address, counter) under different data;
-//   - op%3 == 1: a node input of 0, 8, 64, 71 or 72 bytes whose
+//   - op%4 == 1: a node input of 0, 8, 64, 71 or 72 bytes whose
 //     content is one of four patterns, so equal lengths carry
 //     different bytes and equal prefixes carry different lengths;
-//   - op%3 == 2: a node input longer than MemoNodeInputMax, which
-//     must bypass the memo.
+//   - op%4 == 2: a node input longer than MemoNodeInputMax, which
+//     must bypass the memo;
+//   - op%4 == 3: a pad for one of four addresses under one of four
+//     counters, so the same address recurs under different counters.
 func memoScriptInputs(op, arg byte) (kind int, ct [CacheLineSize]byte, a, c uint64, node []byte) {
-	kind = int(op % 3)
+	kind = int(op % 4)
 	switch kind {
-	case 0:
+	case 0, 3:
 		for i := range ct {
 			ct[i] = byte(i) ^ (op>>2&3)*0x55
 		}
@@ -31,7 +34,7 @@ func memoScriptInputs(op, arg byte) (kind int, ct [CacheLineSize]byte, a, c uint
 		if n > 0 {
 			node[n-1] ^= arg >> 5
 		}
-	default:
+	case 2:
 		node = bytes.Repeat([]byte{arg}, MemoNodeInputMax+1+int(op>>2))
 	}
 	return kind, ct, a, c, node
@@ -39,16 +42,19 @@ func memoScriptInputs(op, arg byte) (kind int, ct [CacheLineSize]byte, a, c uint
 
 // FuzzHashMemoVsDirect drives a memoized engine with a two-slot memo
 // and a plain engine under the same key through the same script of
-// MACs and node hashes: every output must agree, and the memo's counts
-// must account for every call — MACs and short node inputs as a hit or
-// a miss, long node inputs as a bypass.
+// MACs, node hashes and pads: every output must agree, and the memo's
+// counts must account for every call — MACs, pads and short node
+// inputs as a hit or a miss, long node inputs as a bypass. Sixteen pad
+// inputs share two slots, so pads evict each other constantly.
 func FuzzHashMemoVsDirect(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 4, 0, 8, 0, 0, 0, 4, 0, 8})             // one address, three counters, replayed
-	f.Add([]byte{0, 1, 4, 1, 8, 1, 12, 1, 0, 1, 4, 1})            // one (address, counter), four ciphertexts
-	f.Add([]byte{1, 2, 5, 2, 9, 2, 13, 2, 1, 2, 5, 2, 1, 34})     // 64-byte nodes, four contents
-	f.Add([]byte{1, 3, 1, 4, 1, 3, 1, 4, 1, 0, 1, 1})             // 71- vs 72-byte, empty, 8-byte
-	f.Add([]byte{2, 0, 6, 7, 2, 0, 1, 4, 2, 9, 0, 2})             // over-long inputs interleaved
-	f.Add([]byte{0, 255, 1, 255, 2, 255, 0, 255, 1, 255, 3, 254}) // mixed, mostly evicting
+	f.Add([]byte{0, 0, 0, 4, 0, 8, 0, 0, 0, 4, 0, 8})               // one address, three counters, replayed
+	f.Add([]byte{0, 1, 4, 1, 8, 1, 12, 1, 0, 1, 4, 1})              // one (address, counter), four ciphertexts
+	f.Add([]byte{1, 2, 5, 2, 9, 2, 13, 2, 1, 2, 5, 2, 1, 34})       // 64-byte nodes, four contents
+	f.Add([]byte{1, 3, 1, 4, 1, 3, 1, 4, 1, 0, 1, 1})               // 71- vs 72-byte, empty, 8-byte
+	f.Add([]byte{2, 0, 6, 7, 2, 0, 1, 4, 2, 9, 0, 2})               // over-long inputs interleaved
+	f.Add([]byte{0, 255, 1, 255, 2, 255, 0, 255, 1, 255, 3, 254})   // mixed, mostly evicting
+	f.Add([]byte{3, 0, 3, 4, 3, 8, 3, 12, 3, 0, 3, 4, 3, 8, 3, 12}) // one address, four counters, replayed
+	f.Add([]byte{3, 5, 0, 5, 3, 5, 7, 1, 3, 6, 3, 5, 3, 9, 3, 6})   // pads beside the MAC of the same (address, counter)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		key := []byte("memo fuzz key")
 		direct, err := NewEngine(key)
@@ -61,7 +67,7 @@ func FuzzHashMemoVsDirect(f *testing.F) {
 		}
 		m := NewHashMemo(2)
 		memoized.SetMemo(m)
-		var macs, nodes, long uint64
+		var macs, nodes, long, pads uint64
 		for ; len(script) >= 2; script = script[2:] {
 			kind, ct, a, c, node := memoScriptInputs(script[0], script[1])
 			switch kind {
@@ -72,6 +78,14 @@ func FuzzHashMemoVsDirect(f *testing.F) {
 				direct.MACInto(&want, &ct, a, c)
 				if got != want {
 					t.Fatalf("MAC(addr %#x, ctr %d) differs through the memo", a, c)
+				}
+			case 3:
+				pads++
+				var got, want [CacheLineSize]byte
+				memoized.OTPInto(&got, a, c)
+				direct.OTPInto(&want, a, c)
+				if got != want {
+					t.Fatalf("pad(addr %#x, ctr %d) differs through the memo", a, c)
 				}
 			default:
 				if len(node) > MemoNodeInputMax {
@@ -85,8 +99,8 @@ func FuzzHashMemoVsDirect(f *testing.F) {
 			}
 		}
 		s := m.Stats()
-		if s.MACHits+s.MACMisses != macs || s.NodeHits+s.NodeMisses != nodes || s.NodeBypasses != long {
-			t.Fatalf("memo counts %+v do not account for %d MACs, %d node hashes, %d long inputs", s, macs, nodes, long)
+		if s.MACHits+s.MACMisses != macs || s.NodeHits+s.NodeMisses != nodes || s.NodeBypasses != long || s.PadHits+s.PadMisses != pads {
+			t.Fatalf("memo counts %+v do not account for %d MACs, %d node hashes, %d long inputs, %d pads", s, macs, nodes, long, pads)
 		}
 	})
 }
@@ -113,14 +127,16 @@ func TestHashMemoRebindsOnKeyChange(t *testing.T) {
 	e1.SetMemo(m)
 	e1.MAC(&ct, 0x40, 3)
 	e1.HashNode(node)
+	e1.OTP(0x40, 3)
 	e2.SetMemo(m)
 	if s := m.Stats(); s != (MemoStats{}) {
 		t.Fatalf("memo kept counts across a key change: %+v", s)
 	}
-	if e2.MAC(&ct, 0x40, 3) != plain2.MAC(&ct, 0x40, 3) || e2.HashNode(node) != plain2.HashNode(node) {
+	if e2.MAC(&ct, 0x40, 3) != plain2.MAC(&ct, 0x40, 3) || e2.HashNode(node) != plain2.HashNode(node) ||
+		e2.OTP(0x40, 3) != plain2.OTP(0x40, 3) {
 		t.Fatal("memo returned an output computed under another key")
 	}
-	if s := m.Stats(); s.MACHits != 0 || s.NodeHits != 0 {
+	if s := m.Stats(); s.MACHits != 0 || s.NodeHits != 0 || s.PadHits != 0 {
 		t.Fatalf("memo hit across a key change: %+v", s)
 	}
 	// Re-attaching under the same key keeps the memo warm.
@@ -128,5 +144,21 @@ func TestHashMemoRebindsOnKeyChange(t *testing.T) {
 	e2.MAC(&ct, 0x40, 3)
 	if s := m.Stats(); s.MACHits != 1 {
 		t.Fatalf("same-key re-attach dropped the memo: %+v", s)
+	}
+}
+
+// TestMixPadMatchesMix pins the pad table's index to mix over the
+// assembled 16-byte input, so all three tables spread their inputs the
+// same way.
+func TestMixPadMatchesMix(t *testing.T) {
+	var in [16]byte
+	for _, ac := range [][2]uint64{{0, 0}, {0x40, 1}, {0x1000_0040, 7}, {^uint64(0), 1 << 40}} {
+		binary.LittleEndian.PutUint64(in[0:], ac[0])
+		binary.LittleEndian.PutUint64(in[8:], ac[1])
+		for _, shift := range []uint{54, 62, 63} {
+			if got, want := mixPad(ac[0], ac[1], shift), mix(in[:], shift); got != want {
+				t.Fatalf("mixPad(%#x, %d) = %d, mix = %d", ac[0], ac[1], got, want)
+			}
+		}
 	}
 }

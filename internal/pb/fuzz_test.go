@@ -100,10 +100,15 @@ func FuzzBufferModel(f *testing.F) {
 			if impl.Len() != len(ref.data) {
 				t.Fatalf("step %d: occupancy %d want %d", i, impl.Len(), len(ref.data))
 			}
+			// A walk after every step: its marks must survive the
+			// slot shifts of the deletions in between.
+			if got := len(entries(impl)); got != len(ref.data) {
+				t.Fatalf("step %d: walk visited %d entries, reference holds %d", i, got, len(ref.data))
+			}
 		}
 
 		// Final cross-check: both directions of the block set, via the
-		// index (Lookup) and via the entry list.
+		// index (Lookup) and via the walk.
 		for b, want := range ref.data {
 			e := impl.Lookup(b)
 			if e == nil {
@@ -113,12 +118,19 @@ func FuzzBufferModel(f *testing.F) {
 				t.Fatalf("block %#x: final data mismatch", b)
 			}
 		}
-		if got := len(impl.Entries()); got != len(ref.data) {
-			t.Fatalf("entry list has %d entries, reference %d", got, len(ref.data))
+		walked := entries(impl)
+		if got := len(walked); got != len(ref.data) {
+			t.Fatalf("walk visited %d entries, reference %d", got, len(ref.data))
 		}
-		for _, e := range impl.Entries() {
+		for _, e := range walked {
 			if _, ok := ref.data[e.Block]; !ok {
 				t.Fatalf("block %#x in buffer but not in reference", e.Block)
+			}
+		}
+		// The walk's order is the crash-drain order.
+		for k, want := range walked {
+			if e := impl.DrainOldest(); e != want {
+				t.Fatalf("drain %d: got %p, walk visited %p (block %#x) there", k, e, want, want.Block)
 			}
 		}
 	})

@@ -92,6 +92,11 @@ type index[E any] struct {
 	mask  uint64
 	shift uint // 64 - log2(len(slots)), for multiplicative hashing
 	n     int
+	// walked[i] is the last Walk pass that visited slot i's entry.
+	// Deletion shifts slots without their marks, which is harmless: a
+	// mark only means something during the pass that wrote it.
+	walked []uint64
+	pass   uint64
 }
 
 type idxSlot[E any] struct {
@@ -106,9 +111,10 @@ func newIndex[E any](capacity int) index[E] {
 		shift--
 	}
 	return index[E]{
-		slots: make([]idxSlot[E], size),
-		mask:  uint64(size - 1),
-		shift: shift,
+		slots:  make([]idxSlot[E], size),
+		mask:   uint64(size - 1),
+		shift:  shift,
+		walked: make([]uint64, size),
 	}
 }
 
@@ -127,6 +133,16 @@ func (ix *index[E]) get(b addr.Block) *Entry[E] {
 		}
 		if s.key == b {
 			return s.e
+		}
+	}
+}
+
+// find is get that also returns the slot holding the entry.
+func (ix *index[E]) find(b addr.Block) (uint64, *Entry[E]) {
+	for i := ix.home(b); ; i = (i + 1) & ix.mask {
+		s := &ix.slots[i]
+		if s.e == nil || s.key == b {
+			return i, s.e
 		}
 	}
 }
@@ -414,24 +430,24 @@ func (b *Buffer[E]) Remove(block addr.Block) *Entry[E] {
 	return e
 }
 
-// Entries returns the resident entries oldest-first (crash drains
+// Walk calls fn on every resident entry, oldest first (crash drains
 // preserve allocation order). A block removed and later re-allocated
 // leaves a stale FIFO slot behind that resolves to the live entry, so
-// each block is emitted only at its first live position — matching
-// where DrainOldest would drain it.
-func (b *Buffer[E]) Entries() []*Entry[E] {
-	out := make([]*Entry[E], 0, b.idx.n)
-	seen := make(map[addr.Block]struct{}, b.idx.n)
+// each entry is visited only at its first live position — where
+// DrainOldest would drain it. fn may modify an entry but must not add
+// or remove any. Walk allocates nothing: a per-pass mark on the index
+// slot, not a set, tells a repeat visit apart.
+func (b *Buffer[E]) Walk(fn func(*Entry[E])) {
+	ix := &b.idx
+	ix.pass++
 	for _, block := range b.fifo[b.fifoHead:] {
-		if _, dup := seen[block]; dup {
+		i, e := ix.find(block)
+		if e == nil || ix.walked[i] == ix.pass {
 			continue
 		}
-		if e := b.idx.get(block); e != nil {
-			seen[block] = struct{}{}
-			out = append(out, e)
-		}
+		ix.walked[i] = ix.pass
+		fn(e)
 	}
-	return out
 }
 
 // Release returns a drained entry to the buffer's free list for reuse by

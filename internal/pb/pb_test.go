@@ -187,12 +187,46 @@ func TestNWPE(t *testing.T) {
 	}
 }
 
+// entries collects a walk of b.
+func entries[E any](b *Buffer[E]) []*Entry[E] {
+	var out []*Entry[E]
+	b.Walk(func(e *Entry[E]) { out = append(out, e) })
+	return out
+}
+
+// A block removed and re-allocated has two FIFO slots; the walk visits
+// its live entry once, at the first — where DrainOldest drains it.
+func TestWalkVisitsReallocatedBlockOnce(t *testing.T) {
+	b := newBuf(t, 4)
+	for _, i := range []uint64{1, 2, 3} {
+		b.Write(addr.FromIndex(i), 0, 8, i, nil)
+	}
+	b.Remove(addr.FromIndex(1))
+	b.Write(addr.FromIndex(1), 0, 8, 9, nil)
+	var got []addr.Block
+	for _, e := range entries(b) {
+		got = append(got, e.Block)
+	}
+	want := []addr.Block{addr.FromIndex(1), addr.FromIndex(2), addr.FromIndex(3)}
+	if len(got) != len(want) {
+		t.Fatalf("walk visited %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("walk visited %v, want %v", got, want)
+		}
+		if e := b.DrainOldest(); e.Block != want[i] {
+			t.Fatalf("drain %d = %#x, walk order %v", i, e.Block, got)
+		}
+	}
+}
+
 func TestEntriesOldestFirst(t *testing.T) {
 	b := newBuf(t, 4)
 	for i := 0; i < 3; i++ {
 		b.Write(addr.FromIndex(uint64(10-i)), 0, 8, 0, nil)
 	}
-	es := b.Entries()
+	es := entries(b)
 	if len(es) != 3 {
 		t.Fatalf("entries = %d", len(es))
 	}

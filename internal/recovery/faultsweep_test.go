@@ -67,7 +67,7 @@ func TestFaultSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				golden := e.Memory()
-				entries := e.SecPB().SnapshotEntries()
+				entries := e.SecPB().AppendEntries(nil)
 				mc := e.Controller()
 
 				// Battery-budgeted boot loop: ~3 entries per boot until the

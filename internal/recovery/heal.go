@@ -170,7 +170,7 @@ func RunHealCell(scheme config.Scheme, wl string, opts HealOptions) (HealCell, e
 	mc := e.Controller()
 
 	// Crash: drain the battery-backed late work through budgeted boots.
-	j := NewJournal(e.SecPB().SnapshotEntries())
+	j := NewJournal(e.SecPB().AppendEntries(nil))
 	for !j.Complete() {
 		var budget *energy.Budget
 		if opts.BudgetEntries > 0 {

@@ -35,7 +35,7 @@ func pendingImage(t *testing.T, scheme config.Scheme) (*nvm.Controller, []core.E
 	if err := e.Run(gen); err != nil {
 		t.Fatal(err)
 	}
-	entries := e.SecPB().SnapshotEntries()
+	entries := e.SecPB().AppendEntries(nil)
 	if len(entries) < 3 {
 		t.Fatalf("run left only %d pending entries; budgeted-resume test needs several", len(entries))
 	}

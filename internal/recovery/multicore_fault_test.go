@@ -77,12 +77,12 @@ func TestSystemFaultSweep(t *testing.T) {
 			for c := 0; c < sys.Cores(); c++ {
 				mc := restore(sys.Core(c).Controller())
 				shards = append(shards, mc)
-				parts = append(parts, CoreEntries{Core: c, MC: mc, Entries: sys.Core(c).SecPB().SnapshotEntries()})
+				parts = append(parts, CoreEntries{Core: c, MC: mc, Entries: sys.Core(c).SecPB().AppendEntries(nil)})
 			}
 			sharedMC := restore(sys.Shared().Controller())
 			shards = append(shards, sharedMC)
 			for c := 0; c < sys.Cores(); c++ {
-				parts = append(parts, CoreEntries{Core: c, MC: sharedMC, Entries: sys.Shared().SecPB(c).SnapshotEntries()})
+				parts = append(parts, CoreEntries{Core: c, MC: sharedMC, Entries: sys.Shared().SecPB(c).AppendEntries(nil)})
 			}
 			if _, err := DrainSystemEntries(parts, nil); err != nil {
 				t.Fatalf("system drain under %s faults: %v", mode.name, err)

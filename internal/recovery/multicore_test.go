@@ -49,7 +49,7 @@ func systemSnapshot(t *testing.T) (*engine.System, []CoreEntries) {
 		parts = append(parts, CoreEntries{
 			Core:    c,
 			MC:      restore(eng.Controller()),
-			Entries: eng.SecPB().SnapshotEntries(),
+			Entries: eng.SecPB().AppendEntries(nil),
 		})
 	}
 	// The shared region: both cores' shared-SecPBs drain into ONE
@@ -59,7 +59,7 @@ func systemSnapshot(t *testing.T) (*engine.System, []CoreEntries) {
 		parts = append(parts, CoreEntries{
 			Core:    c,
 			MC:      sharedMC,
-			Entries: sys.Shared().SecPB(c).SnapshotEntries(),
+			Entries: sys.Shared().SecPB(c).AppendEntries(nil),
 		})
 	}
 	pending := 0

@@ -1,6 +1,7 @@
 package seal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -58,8 +59,52 @@ func writeAtomic(fsys fileSystem, path string, write func(io.Writer) error) (err
 	return fsys.SyncDir(dir)
 }
 
-// fileSystem is the part of the OS WriteAtomic uses; tests substitute
-// a fake that fails at each step.
+// Move renames oldpath (a file or a directory) to newpath, then fsyncs
+// newpath's parent directory and, when it differs, oldpath's, so that
+// once Move returns nil the move survives power loss: the entry neither
+// reappears under its old name nor goes missing under its new one. On
+// failure it returns a *MoveError.
+func Move(oldpath, newpath string) error {
+	return move(osFS{}, oldpath, newpath)
+}
+
+// MoveError reports a failed Move. Moved tells whether the rename took
+// effect: when only a directory fsync failed, the entry is already under
+// the new name, but the move may not survive a power loss. When the
+// rename itself failed, nothing moved.
+type MoveError struct {
+	Old, New string
+	Moved    bool
+	Err      error
+}
+
+func (e *MoveError) Error() string {
+	if e.Moved {
+		return fmt.Sprintf("seal: moved %s to %s but could not make it durable: %v", e.Old, e.New, e.Err)
+	}
+	return fmt.Sprintf("seal: move %s to %s: %v", e.Old, e.New, e.Err)
+}
+
+func (e *MoveError) Unwrap() error { return e.Err }
+
+func move(fsys fileSystem, oldpath, newpath string) error {
+	if err := fsys.Rename(oldpath, newpath); err != nil {
+		return &MoveError{Old: oldpath, New: newpath, Err: err}
+	}
+	dirs := []string{filepath.Dir(newpath)}
+	if d := filepath.Dir(oldpath); d != dirs[0] {
+		dirs = append(dirs, d)
+	}
+	for _, dir := range dirs {
+		if err := fsys.SyncDir(dir); err != nil {
+			return &MoveError{Old: oldpath, New: newpath, Moved: true, Err: err}
+		}
+	}
+	return nil
+}
+
+// fileSystem is the part of the OS WriteAtomic and Move use; tests
+// substitute a fake that fails at each step.
 type fileSystem interface {
 	CreateTemp(dir, pattern string) (tempFile, error)
 	Rename(oldpath, newpath string) error

@@ -57,7 +57,7 @@ func (fs *fakeFS) Remove(name string) error {
 	return nil
 }
 
-func (fs *fakeFS) SyncDir(string) error { return fs.step("syncdir") }
+func (fs *fakeFS) SyncDir(dir string) error { return fs.step("syncdir " + dir) }
 
 type fakeFile struct {
 	fs   *fakeFS
@@ -105,7 +105,7 @@ func TestWriteAtomicFaults(t *testing.T) {
 		{"fsync", pathErr("sync", syscall.EIO), oldBytes},
 		{"close", pathErr("close", syscall.EIO), oldBytes},
 		{"rename", &os.LinkError{Op: "rename", Old: path + ".tmp-1", New: path, Err: syscall.EXDEV}, oldBytes},
-		{"syncdir", pathErr("sync", syscall.EIO), newBytes},
+		{"syncdir /data", pathErr("sync", syscall.EIO), newBytes},
 		{"", nil, newBytes},
 	}
 	for _, tc := range cases {
@@ -125,7 +125,7 @@ func TestWriteAtomicFaults(t *testing.T) {
 			// The order the durability argument rests on: data synced
 			// before the rename publishes it, the rename synced before
 			// WriteAtomic reports success.
-			if got, want := strings.Join(fs.steps, " → "), "create → write → fsync → close → rename → syncdir"; got != want {
+			if got, want := strings.Join(fs.steps, " → "), "create → write → fsync → close → rename → syncdir /data"; got != want {
 				t.Fatalf("step order %s, want %s", got, want)
 			}
 		} else if !errors.Is(err, tc.err) {
@@ -178,5 +178,94 @@ func TestWriteAtomicOS(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries, want only result.json", len(entries))
+	}
+}
+
+// Every step of Move can fail: the rename, then the fsync of each parent
+// directory. Whichever does, the injected error comes back inside a
+// *MoveError whose Moved flag says where the entry is: still under the
+// old name after a failed rename, under the new one after a failed
+// fsync.
+func TestMoveFaults(t *testing.T) {
+	const (
+		oldpath = "/data/sessions/s1"
+		newpath = "/data/quarantine/s1.7"
+	)
+	injected := &os.PathError{Op: "sync", Path: "/data", Err: syscall.EIO}
+	cases := []struct {
+		failAt string
+		moved  bool
+	}{
+		{"rename", false},
+		{"syncdir /data/quarantine", true},
+		{"syncdir /data/sessions", true},
+		{"", true},
+	}
+	for _, tc := range cases {
+		fs := &fakeFS{files: map[string][]byte{oldpath: []byte("session")}, failAt: tc.failAt, err: injected}
+		err := move(fs, oldpath, newpath)
+		if tc.failAt == "" {
+			if err != nil {
+				t.Fatalf("no fault: %v", err)
+			}
+			// The destination's directory first, so the entry is never
+			// durably nowhere.
+			if got, want := strings.Join(fs.steps, " → "), "rename → syncdir /data/quarantine → syncdir /data/sessions"; got != want {
+				t.Fatalf("step order %s, want %s", got, want)
+			}
+		} else {
+			var me *MoveError
+			if !errors.As(err, &me) || !errors.Is(err, injected) {
+				t.Fatalf("%s: got %v, want a *MoveError wrapping the injected error", tc.failAt, err)
+			}
+			if me.Moved != tc.moved || me.Old != oldpath || me.New != newpath {
+				t.Fatalf("%s: %+v, want Moved %v", tc.failAt, me, tc.moved)
+			}
+		}
+		_, atOld := fs.files[oldpath]
+		_, atNew := fs.files[newpath]
+		if atOld == tc.moved || atNew != tc.moved {
+			t.Fatalf("%s: entry at old path %v, new path %v; want moved %v", tc.failAt, atOld, atNew, tc.moved)
+		}
+	}
+	// Within one directory there is one parent to sync.
+	fs := &fakeFS{files: map[string][]byte{"/data/a": nil}}
+	if err := move(fs, "/data/a", "/data/b"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(fs.steps, " → "), "rename → syncdir /data"; got != want {
+		t.Fatalf("same-directory move: step order %s, want %s", got, want)
+	}
+}
+
+// On the real file system: Move carries a directory and its contents
+// across parents, and a missing source is a *MoveError that moved
+// nothing.
+func TestMoveOS(t *testing.T) {
+	root := t.TempDir()
+	src := filepath.Join(root, "sessions", "s1")
+	dst := filepath.Join(root, "quarantine", "s1.1")
+	if err := os.MkdirAll(src, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(src, "ckpt.spbk"), []byte("ckpt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Move(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dst, "ckpt.spbk")); err != nil || string(got) != "ckpt" {
+		t.Fatalf("moved file holds %q, %v", got, err)
+	}
+	if _, err := os.Stat(src); !os.IsNotExist(err) {
+		t.Fatalf("source still present after Move: %v", err)
+	}
+	err := Move(src, dst+".again")
+	var me *MoveError
+	if !errors.As(err, &me) || me.Moved || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("moving a missing source: got %v, want an unmoved *MoveError wrapping ErrNotExist", err)
 	}
 }

@@ -12,7 +12,8 @@
 // and Open verifies the seal, then the magic, then the kind stamp,
 // before a single payload byte is decoded. WriteAtomic publishes a file
 // so that a crash at any instant leaves either the old bytes or the
-// complete new ones under its name.
+// complete new ones under its name, and Move renames an entry and syncs
+// both parent directories so the move survives power loss.
 package seal
 
 import (

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"secpb/internal/seal"
 )
 
 // SpecConflictError rejects re-creating an existing session with a
@@ -66,6 +69,12 @@ func Open(opts Options) (*Server, error) {
 	if err := os.MkdirAll(opts.quarantineDir(), 0o755); err != nil {
 		return nil, err
 	}
+	// Make both directories durable before anything is moved between
+	// them: quarantine's fsyncs cover entries inside them, not the
+	// directories' own entries in DataDir.
+	if err := seal.SyncDir(opts.DataDir); err != nil {
+		return nil, err
+	}
 	sv := &Server{
 		opts:     opts,
 		metrics:  newMetrics(),
@@ -97,15 +106,21 @@ func (o Options) sessionsDir() string   { return filepath.Join(o.DataDir, "sessi
 func (o Options) quarantineDir() string { return filepath.Join(o.DataDir, "quarantine") }
 
 // quarantine moves a directory that failed resume out of the sessions
-// tree. Called with sv.mu NOT required (startup is single-threaded).
+// tree, durably (seal.Move), so a power loss cannot bring the refused
+// session back under sessions/ beside a clean one re-created under its
+// name. Called with sv.mu NOT required (startup is single-threaded).
 func (sv *Server) quarantine(name, dir string, cause error) {
 	dest := filepath.Join(sv.opts.quarantineDir(),
 		name+"."+strconv.FormatInt(time.Now().UnixNano(), 10))
-	if err := os.Rename(dir, dest); err != nil {
+	if err := seal.Move(dir, dest); err != nil {
 		// Leaving it in place would re-fail every restart, but silently
-		// deleting evidence is worse; record both errors.
-		cause = fmt.Errorf("%w (quarantine move also failed: %v)", cause, err)
-		dest = dir
+		// deleting evidence is worse; record both errors. A move that
+		// happened but could not be synced reports where it went.
+		cause = fmt.Errorf("%w (quarantine move also failed: %w)", cause, err)
+		var me *seal.MoveError
+		if errors.As(err, &me) && !me.Moved {
+			dest = dir
+		}
 	}
 	sv.quarantined = append(sv.quarantined, QuarantineReport{Name: name, Dir: dest, Err: cause.Error()})
 	sv.quarCauses = append(sv.quarCauses, cause)

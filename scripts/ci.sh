@@ -19,7 +19,8 @@ fi
 
 go test -race ./...
 
-# Exact-zero allocation pins for the per-op hot paths, plus the
+# Exact-zero allocation pins for the per-op hot paths and the crash-point
+# entry capture (AppendEntries into a recycled slice), plus the
 # steady-state bounds of the crash-point capture (snapshot stores
 # recycle, so a capture allocates less than one table page), of
 # crash-point recovery (the controller reboots in place, so RecoverVerify
@@ -29,7 +30,7 @@ go test -race ./...
 # on its own — so they need this uninstrumented pass to run at all.
 go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|RunBatchSteadyStateAlloc|CacheFootprint' . \
     ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/ ./internal/engine/ \
-    ./internal/mem/
+    ./internal/mem/ ./internal/core/
 
 # Benchmarks must at least compile and run one iteration: the perf
 # report scripts depend on them, and a bench-only regression would

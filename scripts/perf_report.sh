@@ -35,8 +35,10 @@ go test -bench 'BenchmarkMAC$|BenchmarkMACReference$|BenchmarkHashNode$|Benchmar
     -benchmem -benchtime 2s -run '^$' . | tee "$out/bench_hash.txt"
 
 echo "== data-plane micro-benchmarks =="
-go test -bench 'BenchmarkOTPGenReference$|BenchmarkPTableVsMap|BenchmarkRunBatchVsRun' \
+go test -bench 'BenchmarkPTableVsMap|BenchmarkRunBatchVsRun' \
     -benchmem -benchtime 2s -run '^$' . | tee "$out/bench_dataplane.txt"
+go test -bench 'BenchmarkAESEncryptBlock$' -benchtime 2s -run '^$' ./internal/crypto/ \
+    | tee -a "$out/bench_dataplane.txt"
 go test -bench 'BenchmarkExpAllMemoized' -benchtime 1x -run '^$' . \
     | tee "$out/bench_memo.txt"
 
