@@ -445,6 +445,30 @@ func (t *Tree) Reset() {
 	t.forgetVerified()
 }
 
+// EmptyInto makes dst an empty tree on t's hasher and height, equal to
+// New(hasher, height), and returns it; a nil dst allocates. dst takes
+// t's default-hash chain, which depends only on the hasher and the
+// height, so no node is hashed: an audit replaying into dst does the
+// same hashing whether dst is new or recycled. dst's level pages and
+// staged-line buffers are kept.
+func (t *Tree) EmptyInto(dst *Tree) *Tree {
+	if dst == nil {
+		dst = &Tree{pending: make(map[uint64][]byte)}
+	}
+	dst.h = t.h
+	dst.height = t.height
+	dst.capacity = t.capacity
+	dst.defaults = t.defaults
+	if len(dst.levels) != t.height {
+		dst.levels = make([]*ptable.Table[Digest], t.height)
+		for l := range dst.levels {
+			dst.levels[l] = ptable.New[Digest]()
+		}
+	}
+	dst.Reset()
+	return dst
+}
+
 // NodesMaterialized returns the number of non-default nodes stored.
 func (t *Tree) NodesMaterialized() int {
 	t.Sweep()

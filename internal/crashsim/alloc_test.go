@@ -132,3 +132,67 @@ func TestRecoverVerifySteadyStateAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashCellSteadyStateAlloc pins the recycled rig: once a worker has
+// run a cell, a later InjectTraceWith cell resets the rig's engine,
+// snapshot stores and recovery state in place, so the whole cell — both
+// passes, every capture and every recovery — must allocate under
+// 128 KiB. Building an engine per pass, a controller and a hash memo
+// per cell, and touching every table page anew allocates 4–6 MB. The
+// warm cell follows a cell of the other workload and scheme, so the
+// reset crosses a change of scheme, seed and address footprint. The
+// minimum over a few warm cells is taken: sync.Pool keeps a rig per
+// processor, and a goroutine that migrates between cells may find
+// none.
+func TestCrashCellSteadyStateAlloc(t *testing.T) {
+	const budget = 128 << 10
+	type cellSpec struct {
+		scheme config.Scheme
+		wl     string
+	}
+	run := func(c cellSpec) uint64 {
+		t.Helper()
+		prof, err := workload.ByName(c.wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config.Default().WithScheme(c.scheme)
+		cfg.Seed = 41
+		ops, err := workload.Generate(prof, cfg.Seed, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		cell, err := InjectTraceWith(cfg, prof, []byte("crash-cell-alloc-key"), ops,
+			TraceOptions{Points: 120, Seed: 7}, nil)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Failures > 0 || cell.Injected != 120 {
+			t.Fatalf("%s/%s: %d injected, %d failures: %s", c.scheme, c.wl, cell.Injected, cell.Failures, cell.FirstBad)
+		}
+		return ms.TotalAlloc - before
+	}
+	for _, c := range []cellSpec{{config.SchemeCOBCM, "gcc"}, {config.SchemeNoGap, "kvstore"}} {
+		t.Run(c.scheme.String()+"/"+c.wl, func(t *testing.T) {
+			other := cellSpec{config.SchemeNoGap, "kvstore"}
+			if c.wl == "kvstore" {
+				other = cellSpec{config.SchemeCOBCM, "gcc"}
+			}
+			run(c)
+			run(other)
+			warm := uint64(1 << 63)
+			for i := 0; i < 3; i++ {
+				warm = min(warm, run(c))
+				run(other)
+			}
+			t.Logf("%s/%s: %d B allocated per warm cell", c.scheme, c.wl, warm)
+			if warm >= budget {
+				t.Errorf("%d B allocated per warm cell, want < %d", warm, budget)
+			}
+		})
+	}
+}

@@ -180,9 +180,23 @@ func InjectTrace(cfg config.Config, prof workload.Profile, key []byte, ops []tra
 // maintained for every handler; Drained/Checked/Failures are only
 // meaningful under the standard one (custom handlers accumulate their
 // own findings).
+//
+// The cell runs on a rig from a package pool (see rig): the engine,
+// snapshot stores and recovery state of an earlier cell, reset in
+// place, so consecutive cells on one worker allocate almost nothing.
+// A reset rig behaves exactly as a new one — findings, points and memo
+// counts included.
 func InjectTraceWith(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, topt TraceOptions, h Handler) (CellResult, error) {
+	r := rigs.Get().(*rig)
+	cell, err := r.inject(cfg, prof, key, ops, topt, h)
+	rigs.Put(r)
+	return cell, err
+}
+
+// inject is InjectTraceWith on the rig r.
+func (r *rig) inject(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, topt TraceOptions, h Handler) (CellResult, error) {
 	cell := CellResult{Scheme: cfg.Scheme.String(), Workload: prof.Name, Ops: len(ops), Seed: cfg.Seed}
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(r, cfg, prof, key, ops, nil, nil)
 	if err != nil {
 		return cell, err
 	}
@@ -203,7 +217,10 @@ func InjectTraceWith(cfg config.Config, prof workload.Profile, key []byte, ops [
 	}
 
 	triggers := chooseTriggers(total, topt.Points, topt.Seed)
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	if err := r.snap.rec.reset(cfg, key); err != nil {
+		return cell, err
+	}
+	inj, err := newInjector(r, cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		cell.Injected++
 		if h != nil {
 			return h(snap, golden)
@@ -254,8 +271,9 @@ func RunCell(scheme config.Scheme, wl string, opts Options) (CellResult, error) 
 }
 
 // Explore runs the full scheme × workload grid, fanning cells out over a
-// bounded worker pool. Each cell is self-contained (own engine, own
-// trace, own crypto engine), so cells parallelize without sharing.
+// bounded worker pool. A running cell holds its own trace and a rig no
+// other cell holds (see InjectTraceWith), so cells parallelize without
+// sharing.
 func Explore(ctx context.Context, opts Options) (*Matrix, error) {
 	opts = opts.withDefaults()
 	type cellKey struct {

@@ -120,7 +120,7 @@ func TestInjectionIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(newRig(), cfg, prof, key, ops, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestInjectionIsTransparent(t *testing.T) {
 	total, _ := count.Points()
 	triggers := chooseTriggers(total, 30, 5)
 
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	inj, err := newInjector(newRig(), cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		_, err := snap.RecoverVerify(golden)
 		return err
 	})
@@ -141,7 +141,7 @@ func TestInjectionIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := newInjector(cfg, prof, key, ops, nil, nil)
+	plain, err := newInjector(newRig(), cfg, prof, key, ops, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDetectsDroppedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(newRig(), cfg, prof, key, ops, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDetectsDroppedEntry(t *testing.T) {
 	triggers := chooseTriggers(total, 20, 11)
 
 	caught, eligible := 0, 0
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	inj, err := newInjector(newRig(), cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		if len(snap.entries) == 0 {
 			return nil
 		}
@@ -226,7 +226,7 @@ func TestDetectsWrongGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := newInjector(cfg, prof, key, ops, nil, nil)
+	count, err := newInjector(newRig(), cfg, prof, key, ops, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDetectsWrongGolden(t *testing.T) {
 	triggers := []uint64{total - 1}
 
 	ran := false
-	inj, err := newInjector(cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	inj, err := newInjector(newRig(), cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		ran = true
 		forged := make(map[addr.Block][addr.BlockBytes]byte, len(golden))
 		for b, v := range golden {

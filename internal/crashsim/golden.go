@@ -20,16 +20,27 @@ type shadow struct {
 }
 
 func newShadow(ops []trace.Op) *shadow {
-	s := &shadow{
-		ops: ops,
-		mem: make(map[addr.Block][addr.BlockBytes]byte),
+	s := new(shadow)
+	s.reset(ops)
+	return s
+}
+
+// reset points the shadow at a new trace with no store applied,
+// keeping its map and store-index storage.
+func (s *shadow) reset(ops []trace.Op) {
+	if s.mem == nil {
+		s.mem = make(map[addr.Block][addr.BlockBytes]byte)
+	} else {
+		clear(s.mem)
 	}
+	s.ops = ops
+	s.storeIdx = s.storeIdx[:0]
 	for i, op := range ops {
 		if op.Kind == trace.Store {
 			s.storeIdx = append(s.storeIdx, i)
 		}
 	}
-	return s
+	s.applied = 0
 }
 
 // advanceTo applies stores until exactly committed of them are in the

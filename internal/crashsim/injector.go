@@ -2,6 +2,7 @@ package crashsim
 
 import (
 	"fmt"
+	"sync"
 
 	"secpb/internal/addr"
 	"secpb/internal/bmt"
@@ -104,30 +105,58 @@ type Injector struct {
 	points  uint64
 	perKind []uint64 // indexed by crashpoint.Kind
 	err     error
-	// snap is the one snapshot handed to the handler, recaptured in
-	// place at every trigger.
+	// snap is the rig's snapshot, handed to the handler and recaptured
+	// in place at every trigger.
 	snap *Snapshot
 }
 
-func newInjector(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, triggers []uint64, h Handler) (*Injector, error) {
-	eng, err := engine.New(cfg, prof, key)
-	if err != nil {
+// rig is one worker's crash-cell machinery, recycled from cell to cell:
+// the engine both passes of a cell run on, reset in place before each
+// (engine.Reset), the golden shadow, and the snapshot whose stores and
+// recovery state every capture reuses. A cell takes a rig from rigs
+// and returns it when it ends, so a worker pool that runs one cell
+// after another — Explore's, or any caller's — builds the machinery
+// once per worker instead of twice per cell; rigs left idle are freed
+// by the garbage collector.
+type rig struct {
+	eng    *engine.Engine
+	shadow shadow
+	snap   *Snapshot
+}
+
+var rigs = sync.Pool{New: func() any { return newRig() }}
+
+func newRig() *rig { return &rig{snap: &Snapshot{rec: new(recoverer)}} }
+
+// newInjector readies r for one pass over ops under cfg: the engine is
+// built on r's first pass and reset to New's state on every later one,
+// and the shadow is emptied onto ops.
+func newInjector(r *rig, cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, triggers []uint64, h Handler) (*Injector, error) {
+	if r.eng == nil {
+		eng, err := engine.New(cfg, prof, key)
+		if err != nil {
+			return nil, err
+		}
+		r.eng = eng
+	} else if err := r.eng.Reset(cfg, prof, key); err != nil {
 		return nil, err
 	}
+	r.shadow.reset(ops)
 	mask := make([]bool, crashpoint.NumKinds())
 	for i := range mask {
 		mask[i] = true
 	}
 	return &Injector{
-		eng:      eng,
+		eng:      r.eng,
 		cfg:      cfg,
 		key:      append([]byte(nil), key...),
 		src:      &indexedSource{ops: ops, pos: -1},
-		shadow:   newShadow(ops),
+		shadow:   &r.shadow,
 		triggers: triggers,
 		handle:   h,
 		mask:     mask,
 		perKind:  make([]uint64, crashpoint.NumKinds()),
+		snap:     r.snap,
 	}, nil
 }
 
@@ -179,9 +208,6 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 	stores, _ := spb.Stats()
 	committed := int(stores)
 	in.shadow.advanceTo(committed)
-	if in.snap == nil {
-		in.snap = &Snapshot{rec: new(recoverer)}
-	}
 	snap := in.snap
 	*snap = Snapshot{
 		Kind:       k,

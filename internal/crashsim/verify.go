@@ -7,6 +7,7 @@ import (
 
 	"secpb/internal/addr"
 	"secpb/internal/bmt"
+	"secpb/internal/config"
 	"secpb/internal/crypto"
 	"secpb/internal/energy"
 	"secpb/internal/meta"
@@ -43,7 +44,8 @@ func (v *VerifyResult) fail(msg string) {
 // Each recovery overwrites all but the memo before reading it — Reboot
 // brings the controller up cold, Reset re-captures the journal — and a
 // memo hit is the hash a fresh computation returns, so recycling any of
-// it changes no finding.
+// it changes no finding. The snapshot's rig keeps it from one cell to
+// the next as well; reset readies it for a new cell.
 type recoverer struct {
 	mc      *nvm.Controller
 	journal recovery.Journal
@@ -59,6 +61,23 @@ type recoverer struct {
 	// noMemo boots the controller without a memo; tests set it to
 	// compare findings with and without one.
 	noMemo bool
+}
+
+// reset readies the recovery state for a cell under cfg and key, so
+// that the cell's findings and memo counts are those of a new
+// recoverer: the memo is emptied, noMemo is cleared, and the
+// controller is reset (nvm.Controller.Reset), which keeps it — crypto
+// engine included — when only the scheme and seed change under the
+// same key and rebuilds it otherwise.
+func (r *recoverer) reset(cfg config.Config, key []byte) error {
+	r.noMemo = false
+	if r.memo != nil {
+		r.memo.Reset()
+	}
+	if r.mc == nil {
+		return nil
+	}
+	return r.mc.Reset(cfg, key)
 }
 
 // memoSlots sizes each of the recovery memo's three tables (MAC, node
@@ -79,25 +98,26 @@ type verifier struct {
 }
 
 // boot power-cycles the snapshot's recovery controller onto an NV
-// image, building the controller — and attaching the memo to its
-// engine — on the snapshot's first recovery.
+// image, building the controller on the rig's first recovery, and
+// attaches the memo to its engine — or, with noMemo, detaches it.
 func (s *Snapshot) boot(pm *nvm.PM, ctrs *meta.CounterStore, macs *meta.MACStore, tree *bmt.Tree) (*nvm.Controller, error) {
-	if s.rec.mc == nil {
+	r := s.rec
+	if r.mc == nil {
 		mc, err := nvm.Restore(s.cfg, s.key, pm, ctrs, macs, tree)
 		if err != nil {
 			return nil, err
 		}
-		if !s.rec.noMemo {
-			s.rec.memo = crypto.NewHashMemo(memoSlots)
-			mc.Engine().SetMemo(s.rec.memo)
-		}
-		s.rec.mc = mc
-		return mc, nil
-	}
-	if err := s.rec.mc.Reboot(pm, ctrs, macs, tree); err != nil {
+		r.mc = mc
+	} else if err := r.mc.Reboot(pm, ctrs, macs, tree); err != nil {
 		return nil, err
 	}
-	return s.rec.mc, nil
+	if r.noMemo {
+		r.memo = nil
+	} else if r.memo == nil {
+		r.memo = crypto.NewHashMemo(memoSlots)
+	}
+	r.mc.Engine().SetMemo(r.memo)
+	return r.mc, nil
 }
 
 // RecoverVerify boots a memory controller on the snapshot's NV image,

@@ -109,13 +109,16 @@ func NewHashMemo(slots int) *HashMemo {
 // Stats returns the memo's lookup counts.
 func (m *HashMemo) Stats() MemoStats { return m.stats }
 
-// reset empties the memo and zeroes its counts, keeping its tables.
-func (m *HashMemo) reset() {
+// Reset empties the memo and zeroes its counts, keeping its tables, so
+// a reset memo serves lookups exactly as NewHashMemo of the same size
+// does. It keeps its key binding: an empty memo is valid under any
+// keys, and a later SetMemo on an engine with the same sub-keys need
+// not empty it again.
+func (m *HashMemo) Reset() {
 	clear(m.mac)
 	clear(m.node)
 	clear(m.pad)
 	m.stats = MemoStats{}
-	m.keyed = false
 }
 
 // bind ties the memo to an engine's pad and MAC sub-keys. Entries
@@ -125,7 +128,7 @@ func (m *HashMemo) bind(padKey *[16]byte, key *[32]byte) {
 	if m.keyed && m.padKey == *padKey && m.key == *key {
 		return
 	}
-	m.reset()
+	m.Reset()
 	m.padKey, m.key, m.keyed = *padKey, *key, true
 }
 

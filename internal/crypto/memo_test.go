@@ -147,6 +147,59 @@ func TestHashMemoRebindsOnKeyChange(t *testing.T) {
 	}
 }
 
+// TestHashMemoResetMatchesNew: a warm memo, once reset, holds nothing —
+// the next lookups all miss, with counts equal to a new memo's over the
+// same calls — and a reset memo moved to another key still rebinds.
+func TestHashMemoResetMatchesNew(t *testing.T) {
+	e, err := NewEngine([]byte("memo reset key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct [CacheLineSize]byte
+	node := make([]byte, 64)
+	calls := func(e *Engine) {
+		for i := uint64(0); i < 8; i++ {
+			e.MAC(&ct, i<<6, 3)
+			e.HashNode(node)
+			e.OTP(i<<6, 3)
+		}
+	}
+	m := NewHashMemo(16)
+	e.SetMemo(m)
+	calls(e)
+	m.Reset()
+	if s := m.Stats(); s != (MemoStats{}) {
+		t.Fatalf("Reset kept counts: %+v", s)
+	}
+	calls(e)
+	fresh := NewHashMemo(16)
+	e.SetMemo(fresh)
+	calls(e)
+	if m.Stats() != fresh.Stats() || m.Stats().MACMisses == 0 {
+		t.Fatalf("reset memo %+v, new memo %+v", m.Stats(), fresh.Stats())
+	}
+	// A memo refilled after Reset keeps its binding's meaning: moved to
+	// an engine under another key, it starts empty there.
+	e.SetMemo(m)
+	m.Reset()
+	calls(e)
+	other, err := NewEngine([]byte("memo reset other key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewEngine([]byte("memo reset other key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.SetMemo(m)
+	if s := m.Stats(); s != (MemoStats{}) {
+		t.Fatalf("memo kept counts across a key change after Reset: %+v", s)
+	}
+	if other.MAC(&ct, 0, 3) != plain.MAC(&ct, 0, 3) || other.OTP(0, 3) != plain.OTP(0, 3) || m.Stats().MACHits+m.Stats().PadHits != 0 {
+		t.Fatalf("reset memo served another key's output: %+v", m.Stats())
+	}
+}
+
 // TestMixPadMatchesMix pins the pad table's index to mix over the
 // assembled 16-byte input, so all three tables spread their inputs the
 // same way.

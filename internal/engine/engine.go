@@ -106,26 +106,60 @@ type Engine struct {
 }
 
 // New builds an engine for the given configuration and workload profile.
+// It is Reset on a zero Engine.
 func New(cfg config.Config, prof workload.Profile, key []byte) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	e := new(Engine)
+	if err := e.Reset(cfg, prof, key); err != nil {
 		return nil, err
+	}
+	return e, nil
+}
+
+// Reset returns the engine to exactly the state New(cfg, prof, key)
+// returns, keeping what it already allocated: the cache hierarchy when
+// its geometry is unchanged, the plaintext image's pages, and the
+// controller with its stores and crypto engine (nvm.Controller.Reset
+// decides which of those survive a change of scheme, seed or key). The
+// SecPB, store buffer and gap histogram are small and rebuilt. An
+// invalid cfg or prof is refused with the engine untouched; after any
+// other error the engine must not be used until a later Reset succeeds.
+func (e *Engine) Reset(cfg config.Config, prof workload.Profile, key []byte) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if err := prof.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	mc, err := nvm.NewController(cfg, key)
-	if err != nil {
-		return nil, err
+	mc := e.mc
+	if mc == nil {
+		mc = new(nvm.Controller)
 	}
-	e := &Engine{
-		cfg:     cfg,
-		timing:  DefaultTiming(),
-		prof:    prof,
-		mc:      mc,
-		hier:    mem.NewHierarchy(cfg),
-		sb:      mem.NewStoreBuffer(cfg.StoreBufferCap),
-		memory:  ptable.New[[addr.BlockBytes]byte](),
-		gapHist: stats.NewHistogram(256, 512),
+	if err := mc.Reset(cfg, key); err != nil {
+		return err
+	}
+	hier := e.hier
+	if hier != nil && sameGeometry(e.cfg, cfg) {
+		hier.Reset()
+	} else {
+		hier = mem.NewHierarchy(cfg)
+	}
+	memory := e.memory
+	if memory != nil {
+		memory.Reset()
+	} else {
+		memory = ptable.New[[addr.BlockBytes]byte]()
+	}
+	*e = Engine{
+		cfg:         cfg,
+		timing:      DefaultTiming(),
+		prof:        prof,
+		mc:          mc,
+		hier:        hier,
+		sb:          mem.NewStoreBuffer(cfg.StoreBufferCap),
+		memory:      memory,
+		gapHist:     stats.NewHistogram(256, 512),
+		blockCol:    e.blockCol[:0],
+		inflightBuf: e.inflightBuf,
 	}
 	for n := range e.cpiTab {
 		e.cpiTab[n] = float64(n) * prof.NonMemCPI
@@ -133,13 +167,19 @@ func New(cfg config.Config, prof workload.Profile, key []byte) (*Engine, error) 
 	if cfg.Scheme != config.SchemeSP {
 		spb, err := core.New(cfg, mc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.spb = spb
 	}
 	e.kern = newKernel(cfg, mc.Secure())
-	e.l1 = e.hier.L1()
-	return e, nil
+	e.l1 = hier.L1()
+	return nil
+}
+
+// sameGeometry reports whether a and b build identical cache
+// hierarchies.
+func sameGeometry(a, b config.Config) bool {
+	return a.L1 == b.L1 && a.L2 == b.L2 && a.L3 == b.L3 && a.PMReadCycles() == b.PMReadCycles()
 }
 
 // Controller exposes the memory controller (for recovery experiments).

@@ -65,6 +65,13 @@ func runOn(t testing.TB, cfg config.Config, prof workload.Profile, ops []trace.O
 	if err != nil {
 		t.Fatalf("New(%v): %v", cfg.Scheme, err)
 	}
+	return replayOn(eng, ops, path, sink)
+}
+
+// replayOn replays ops on eng along path, recording crash points when
+// sink is set.
+func replayOn(eng *Engine, ops []trace.Op, path runPath, sink bool) outcome {
+	var err error
 	var rec *recSink
 	if sink {
 		rec = &recSink{e: eng}

@@ -233,7 +233,7 @@ func TestSharedPlanDeterminism(t *testing.T) {
 }
 
 // BenchmarkSystemStep measures multi-core stepping throughput for the
-// scaling study (scripts/perf_report.sh).
+// scaling study.
 func BenchmarkSystemStep(b *testing.B) {
 	prof, err := workload.ByName("gromacs")
 	if err != nil {

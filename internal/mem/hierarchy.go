@@ -41,6 +41,14 @@ func NewHierarchy(cfg config.Config) *Hierarchy {
 	return h
 }
 
+// Reset empties every level in place (Cache.Reset), leaving the
+// hierarchy equal to a NewHierarchy of the same geometry.
+func (h *Hierarchy) Reset() {
+	h.l1.Reset()
+	h.l2.Reset()
+	h.l3.Reset()
+}
+
 // L1 returns the L1D cache model.
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 

@@ -76,6 +76,14 @@ func NewCounterStore() *CounterStore {
 	return &CounterStore{lines: ptable.New[CounterLine]()}
 }
 
+// Reset empties the store in place, leaving it observationally equal to
+// NewCounterStore: no counter line and no overflow. The line pages are
+// kept for the next image.
+func (cs *CounterStore) Reset() {
+	cs.lines.Reset()
+	cs.overflows = 0
+}
+
 // Line returns the counter line for a page, creating it if absent.
 func (cs *CounterStore) Line(page uint64) *CounterLine {
 	cl, _ := cs.lines.GetOrCreate(page)

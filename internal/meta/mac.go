@@ -22,6 +22,10 @@ func NewMACStore() *MACStore {
 	return &MACStore{tags: ptable.New[[crypto.MACSize]byte]()}
 }
 
+// Reset empties the store in place, leaving it observationally equal to
+// NewMACStore. The tag pages are kept for the next image.
+func (ms *MACStore) Reset() { ms.tags.Reset() }
+
 // Put stores the tag for a block.
 func (ms *MACStore) Put(b addr.Block, tag [crypto.MACSize]byte) {
 	ms.tags.Put(b.Index(), tag)

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -196,5 +197,88 @@ func TestLineAddrDistinct(t *testing.T) {
 	}
 	if MACLineAddr(b1) != MACLineAddr(addr.FromIndex(7)) {
 		t.Error("blocks 0..7 must share a MAC line")
+	}
+}
+
+// TestCounterStoreResetMatchesNew: a store with lines, advanced minors
+// and an overflow, once reset, reads zero everywhere and then counts
+// exactly like a new store through the same increments, overflow
+// included.
+func TestCounterStoreResetMatchesNew(t *testing.T) {
+	cs := NewCounterStore()
+	hot := addr.BlockOf(0x5000)
+	for i := 0; i < 300; i++ {
+		cs.Increment(hot)
+		cs.Increment(addr.BlockOf(uint64(i) << 12))
+	}
+	if cs.Overflows() == 0 {
+		t.Fatal("setup caused no overflow")
+	}
+	cs.Reset()
+	if _, ok := cs.Peek(hot.Page()); ok || cs.Pages() != 0 || cs.Overflows() != 0 {
+		t.Fatalf("reset store: hot line present %v, %d pages, %d overflows", ok, cs.Pages(), cs.Overflows())
+	}
+	fresh := NewCounterStore()
+	for i := 0; i < 600; i++ {
+		b := hot
+		if i%2 == 1 {
+			b = addr.BlockOf(uint64(i%7) << 12)
+		}
+		g, gov := cs.Increment(b)
+		w, wov := fresh.Increment(b)
+		if g != w || gov != wov {
+			t.Fatalf("increment %d: reset store %d/%v, new store %d/%v", i, g, gov, w, wov)
+		}
+	}
+	lines := func(cs *CounterStore) map[uint64]CounterLine {
+		m := map[uint64]CounterLine{}
+		cs.RangeLines(func(page uint64, cl *CounterLine) bool {
+			m[page] = *cl
+			return true
+		})
+		return m
+	}
+	if fresh.Overflows() == 0 {
+		t.Fatal("replayed increments caused no overflow")
+	}
+	if !reflect.DeepEqual(lines(cs), lines(fresh)) || cs.Overflows() != fresh.Overflows() {
+		t.Error("reset store differs from a new one after the same increments")
+	}
+}
+
+// TestMACStoreResetMatchesNew: a reset MAC store holds no tag and then
+// stores and verifies like a new one.
+func TestMACStoreResetMatchesNew(t *testing.T) {
+	ms := NewMACStore()
+	var tag [crypto.MACSize]byte
+	for i := uint64(0); i < 600; i++ {
+		tag[0] = byte(i)
+		ms.Put(addr.BlockOf(i<<6), tag)
+	}
+	ms.Reset()
+	if ms.Len() != 0 {
+		t.Fatalf("reset store holds %d tags", ms.Len())
+	}
+	if _, ok := ms.Get(addr.BlockOf(5 << 6)); ok {
+		t.Fatal("a tag stored before Reset is still present")
+	}
+	if err := ms.Verify(addr.BlockOf(5<<6), tag); err == nil {
+		t.Fatal("a reset store verified a tag it no longer holds")
+	}
+	fresh := NewMACStore()
+	tag[0] = 0xAB
+	for _, s := range []*MACStore{ms, fresh} {
+		s.Put(addr.BlockOf(7<<6), tag)
+		*s.PutSlot(addr.BlockOf(9 << 6)) = tag
+	}
+	for i := uint64(0); i < 600; i++ {
+		g, gok := ms.Get(addr.BlockOf(i << 6))
+		w, wok := fresh.Get(addr.BlockOf(i << 6))
+		if g != w || gok != wok {
+			t.Fatalf("block %d: reset store %v, new store %v", i, gok, wok)
+		}
+	}
+	if ms.Len() != fresh.Len() {
+		t.Errorf("reset store holds %d tags, new store %d", ms.Len(), fresh.Len())
 	}
 }

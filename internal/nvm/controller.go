@@ -73,6 +73,9 @@ type PreparedMeta struct {
 type Controller struct {
 	cfg    config.Config
 	secure bool
+	// key is the master key eng was derived from; Reset keeps the
+	// engine only for an equal key.
+	key string
 
 	eng  *crypto.Engine
 	ctrs *meta.CounterStore
@@ -137,30 +140,73 @@ const maxStagedTuples = 4096
 
 // NewController builds the controller for the given configuration. The
 // insecure BBB baseline (scheme bbb) stores plaintext and keeps no
-// metadata.
+// metadata. It is Reset on a zero Controller.
 func NewController(cfg config.Config, key []byte) (*Controller, error) {
-	c := &Controller{
+	c := new(Controller)
+	if err := c.Reset(cfg, key); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset returns the controller to exactly the state NewController(cfg,
+// key) returns. A secure controller whose configuration differs from
+// cfg in at most the scheme and the seed, and whose key equals key,
+// empties its stores (PM, counters, MACs, BMT levels) and volatile
+// structures (metadata caches, WPQ, staging index) in place and keeps
+// its crypto engine, with any memo detached; a controller Restore or
+// Reboot booted onto adopted stores empties those. Any other controller
+// — the zero one, an insecure one, or one of another shape or key — is
+// rebuilt from scratch, and on error it is left as it was.
+func (c *Controller) Reset(cfg config.Config, key []byte) error {
+	if !c.secure || !cfg.Scheme.Secure() || !sameShape(c.cfg, cfg) || c.key != string(key) {
+		return c.build(cfg, key)
+	}
+	c.cfg = cfg
+	c.eng.SetMemo(nil)
+	c.pm.Reset()
+	c.ctrs.Reset()
+	c.macs.Reset()
+	c.tree.Reset()
+	c.armFault()
+	c.initVolatile()
+	return nil
+}
+
+// sameShape reports whether two configurations differ in at most the
+// scheme and the seed, the fields Reset may change in place: the scheme
+// only selects the secure path (checked separately) and the seed only
+// the fault injector's stream, which armFault re-derives.
+func sameShape(a, b config.Config) bool {
+	a.Scheme, a.Seed = b.Scheme, b.Seed
+	return a == b
+}
+
+// build makes c a newly allocated controller for cfg and key; on error
+// c is left as it was.
+func (c *Controller) build(cfg config.Config, key []byte) error {
+	fresh := Controller{
 		cfg:    cfg,
 		secure: cfg.Scheme.Secure(),
+		key:    string(key),
 		pm:     NewPM(cfg.PMSizeBytes),
 	}
-	c.armFault()
-	if c.secure {
+	if fresh.secure {
 		eng, err := crypto.NewEngine(key)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tree, err := bmt.New(eng, cfg.BMTLevels)
-		if err != nil {
-			return nil, err
+		if fresh.tree, err = bmt.New(eng, cfg.BMTLevels); err != nil {
+			return err
 		}
-		c.eng = eng
-		c.tree = tree
-		c.ctrs = meta.NewCounterStore()
-		c.macs = meta.NewMACStore()
+		fresh.eng = eng
+		fresh.ctrs = meta.NewCounterStore()
+		fresh.macs = meta.NewMACStore()
 	}
+	*c = fresh
+	c.armFault()
 	c.initVolatile()
-	return c, nil
+	return nil
 }
 
 // armFault arms the PM device's media-fault injector when the config
@@ -256,7 +302,7 @@ func Restore(cfg config.Config, key []byte, pm *PM, ctrs *meta.CounterStore, mac
 	if err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, secure: true, eng: eng}
+	c := &Controller{cfg: cfg, secure: true, key: string(key), eng: eng}
 	if err := c.Reboot(pm, ctrs, macs, tree); err != nil {
 		return nil, err
 	}

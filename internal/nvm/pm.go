@@ -52,6 +52,20 @@ func NewPM(sizeBytes uint64) *PM {
 	}
 }
 
+// Reset empties the device in place, leaving it observationally equal
+// to a NewPM of the same size: no written block, zeroed access
+// counters, an empty bad-block table with its checksum unsealed, and
+// the fault injector disarmed. The block pages are kept for the next
+// image.
+func (p *PM) Reset() {
+	p.data.Reset()
+	p.reads, p.writes = 0, 0
+	p.flt = nil
+	p.remap = nil
+	p.spares = 0
+	p.badSum = 0
+}
+
 // SetFault arms (or, with nil, disarms) the media-fault injector.
 func (p *PM) SetFault(in *fault.Injector) { p.flt = in }
 

@@ -5,7 +5,6 @@ import (
 
 	"secpb/internal/addr"
 	"secpb/internal/bmt"
-	"secpb/internal/crypto"
 	"secpb/internal/nvm"
 )
 
@@ -56,7 +55,6 @@ type Auditor struct {
 	replay  []uint64 // the subset of pages holding counters
 	lineBuf []byte
 	tree    *bmt.Tree
-	hasher  *crypto.Engine // the engine tree was built on
 }
 
 // Audit runs the full-image audit over mc (see AuditImage).
@@ -115,19 +113,10 @@ func (a *Auditor) Audit(mc *nvm.Controller) (AuditReport, error) {
 	// nodes they traverse; the replay proves the register is derivable
 	// from the persisted counters alone, so a crash path that persisted
 	// data without completing its tree updates (the recoverability gap)
-	// cannot audit clean. The replay tree is the previous audit's, reset,
-	// when it was built on the same engine at the same height: Reset
-	// leaves it equal to a new one, default-hash chain included.
-	height := mc.Tree().Height()
-	if a.tree != nil && a.hasher == eng && a.tree.Height() == height {
-		a.tree.Reset()
-	} else {
-		t, err := bmt.New(eng, height)
-		if err != nil {
-			return rep, fmt.Errorf("recovery: replay tree: %w", err)
-		}
-		a.tree, a.hasher = t, eng
-	}
+	// cannot audit clean. The replay tree is the previous audit's,
+	// emptied onto the audited tree's hasher, height and default-hash
+	// chain (EmptyInto), so building it hashes nothing.
+	a.tree = mc.Tree().EmptyInto(a.tree)
 	a.tree.UpdateBatch(a.replay, func(page uint64) []byte {
 		line, _ := ctrs.Peek(page)
 		a.lineBuf = line.AppendBytes(a.lineBuf[:0])

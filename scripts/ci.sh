@@ -24,17 +24,18 @@ go test -race ./...
 # steady-state bounds of the crash-point capture (snapshot stores
 # recycle, so a capture allocates less than one table page), of
 # crash-point recovery (the controller reboots in place, so RecoverVerify
-# allocates under 8 KiB per point), of RunBatch (one batch buffer per
-# call) and of the cache hierarchy's footprint (one word per modeled
-# line). These carry a !race build tag — race instrumentation allocates
-# on its own — so they need this uninstrumented pass to run at all.
-go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|RunBatchSteadyStateAlloc|CacheFootprint' . \
+# allocates under 8 KiB per point), of a whole crash cell on a recycled
+# rig (engine, stores and recovery state reset in place, so a warm cell
+# allocates under 128 KiB), of RunBatch (one batch buffer per call) and
+# of the cache hierarchy's footprint (one word per modeled line). These
+# carry a !race build tag — race instrumentation allocates on its own —
+# so they need this uninstrumented pass to run at all.
+go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|CrashCellSteadyStateAlloc|RunBatchSteadyStateAlloc|CacheFootprint' . \
     ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/ ./internal/engine/ \
     ./internal/mem/ ./internal/core/
 
-# Benchmarks must at least compile and run one iteration: the perf
-# report scripts depend on them, and a bench-only regression would
-# otherwise go unnoticed until the next perf run.
+# Benchmarks must at least compile and run one iteration: a bench-only
+# regression would otherwise go unnoticed until the next perf run.
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Differential fuzzers on their seed corpora: the fast SHA-512 and
