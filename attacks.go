@@ -6,6 +6,7 @@ import (
 	"secpb/internal/addr"
 	"secpb/internal/energy"
 	"secpb/internal/recovery"
+	"secpb/internal/trace"
 	"secpb/internal/workload"
 )
 
@@ -100,12 +101,9 @@ func (m *Machine) StressBattery(nops, seed uint64) (StressReport, error) {
 		return StressReport{}, err
 	}
 	before := m.eng.Collect()
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			break
-		}
-		if err := m.eng.Step(op); err != nil {
+	b := trace.NewBatch(trace.DefaultBatchCap)
+	for gen.NextBatch(b) {
+		if err := m.eng.StepBatch(b); err != nil {
 			return StressReport{}, err
 		}
 	}

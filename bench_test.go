@@ -391,15 +391,16 @@ func BenchmarkPTableVsMap(b *testing.B) {
 	})
 }
 
-// BenchmarkRunBatchVsRun compares the two replay dispatch strategies on
-// the same generated stream: "scalar" drives per-op Step through a
-// scalar source, "batched" and "batched-pre" drive the columnar batch
-// replay. The workload is replay-bound by design — povray's small hot
-// working set keeps the stream in the modeled caches, so the comparison
-// measures dispatch (per-op interface calls, validation, the block
-// decomposition) rather than the shared miss/crypto simulation work
-// that dominates miss-bound or MAC-bound profiles and is identical code
-// in both paths.
+// BenchmarkRunBatchVsRun compares streaming replay with replay of a
+// pre-materialized trace: "batched" generates the stream inside the
+// timed loop through the generator's NextBatch, "batched-pre" replays
+// the same ops from a resettable SliceBatchSource, so the difference is
+// generator cost. (The name predates the removal of the per-op Run path,
+// whose "scalar" case went with it.) The workload is replay-bound by
+// design: povray's small hot working set keeps the stream in the
+// modeled caches, so the comparison is not drowned by the miss and
+// crypto simulation work that dominates miss-bound or MAC-bound
+// profiles.
 func BenchmarkRunBatchVsRun(b *testing.B) {
 	prof, err := workload.ByName("povray")
 	if err != nil {
@@ -407,23 +408,6 @@ func BenchmarkRunBatchVsRun(b *testing.B) {
 	}
 	cfg := config.Default().WithScheme(config.SchemeCOBCM)
 	const nops = 50_000
-	b.Run("scalar", func(b *testing.B) {
-		ops, err := workload.Generate(prof, cfg.Seed, nops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng, err := engine.New(cfg, prof, []byte("bench-key"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Run(trace.NewSliceSource(ops)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("batched", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -436,14 +420,11 @@ func BenchmarkRunBatchVsRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := eng.Run(gen); err != nil { // dispatches to RunBatch
+			if err := eng.RunBatch(gen); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// Apples-to-apples with "scalar": the same pre-materialized op slice,
-	// so the comparison isolates replay dispatch from generator cost
-	// (the asymmetry noted in BENCH_PR3.json).
 	b.Run("batched-pre", func(b *testing.B) {
 		ops, err := workload.Generate(prof, cfg.Seed, nops)
 		if err != nil {

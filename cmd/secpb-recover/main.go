@@ -55,7 +55,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "secpb-recover: %v\n", err)
 		os.Exit(1)
 	}
-	if err := eng.Run(gen); err != nil {
+	if err := eng.RunBatch(gen); err != nil {
 		fmt.Fprintf(os.Stderr, "secpb-recover: run: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,5 +1,5 @@
 // Command secpb-sim runs a single simulation: one benchmark profile (or
-// a recorded trace file, SPB1 or SPB2) under one persistence scheme,
+// a recorded SPB2 trace file) under one persistence scheme,
 // printing the timing results and memory-system statistics.
 //
 // Usage:
@@ -49,7 +49,7 @@ func run(args []string, stdout io.Writer) error {
 		schemeStr = fs.String("scheme", "cobcm", "persistence scheme")
 		ops       = fs.Uint64("ops", 250_000, "memory operations to simulate")
 		entries   = fs.Int("secpb", 32, "SecPB entries")
-		tracePath = fs.String("trace", "", "replay a recorded trace file (SPB1 or SPB2) instead of a synthetic benchmark")
+		tracePath = fs.String("trace", "", "replay a recorded SPB2 trace file instead of a synthetic benchmark")
 		seed      = fs.Uint64("seed", 0, "workload seed (0 = config default)")
 	)
 	if err := fs.Parse(args); err != nil {

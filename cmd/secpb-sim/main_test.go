@@ -12,23 +12,15 @@ import (
 	"secpb/internal/workload"
 )
 
-// writeTrace records ops to path in the given encoding.
-func writeTrace(t *testing.T, path string, ops []trace.Op, spb2 bool) {
+// writeTrace records ops to path as SPB2 with segOps ops per segment.
+func writeTrace(t *testing.T, path string, ops []trace.Op, segOps int) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var w interface {
-		Write(trace.Op) error
-		Flush() error
-	}
-	if spb2 {
-		w = trace.NewSegWriter(f, 256)
-	} else {
-		w = trace.NewWriter(f)
-	}
+	w := trace.NewSegWriter(f, segOps)
 	for _, op := range ops {
 		if err := w.Write(op); err != nil {
 			t.Fatal(err)
@@ -39,7 +31,7 @@ func writeTrace(t *testing.T, path string, ops []trace.Op, spb2 bool) {
 	}
 }
 
-// TestTraceEncodingsMatch: the SPB1 and SPB2 encodings of the same ops
+// TestTraceEncodingsMatch: two segmentations of the same recorded ops
 // must simulate to identical output, and so must the live generator
 // that produced them.
 func TestTraceEncodingsMatch(t *testing.T) {
@@ -53,14 +45,14 @@ func TestTraceEncodingsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	spb1, spb2 := filepath.Join(dir, "t.spb"), filepath.Join(dir, "t.spb2")
-	writeTrace(t, spb1, recorded, false)
-	writeTrace(t, spb2, recorded, true)
+	small, large := filepath.Join(dir, "t256.spb2"), filepath.Join(dir, "t.spb2")
+	writeTrace(t, small, recorded, 256)
+	writeTrace(t, large, recorded, 0)
 
 	var outs []string
 	for _, args := range [][]string{
-		{"-trace", spb1, "-scheme", "cobcm"},
-		{"-trace", spb2, "-scheme", "cobcm"},
+		{"-trace", small, "-scheme", "cobcm"},
+		{"-trace", large, "-scheme", "cobcm"},
 		{"-bench", "gcc", "-ops", "3000", "-seed", "77", "-scheme", "cobcm"},
 	} {
 		var out bytes.Buffer
@@ -73,7 +65,7 @@ func TestTraceEncodingsMatch(t *testing.T) {
 		t.Fatalf("no report printed:\n%s", outs[0])
 	}
 	if outs[1] != outs[0] {
-		t.Errorf("SPB2 replay differs from SPB1 replay:\nspb2:\n%s\nspb1:\n%s", outs[1], outs[0])
+		t.Errorf("replay at 4096 ops per segment differs from 256:\n4096:\n%s\n256:\n%s", outs[1], outs[0])
 	}
 	if outs[2] != outs[0] {
 		t.Errorf("live generation differs from the recorded replay:\nlive:\n%s\nreplay:\n%s", outs[2], outs[0])

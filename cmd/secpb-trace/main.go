@@ -1,20 +1,17 @@
-// Command secpb-trace works with memory-operation traces: generate a
-// synthetic benchmark trace, convert between the flat SPB1 and
-// segmented-columnar SPB2 encodings, dump a binary trace as text,
-// assemble text back into binary, report statistics, apply the
-// relaxed-consistency reordering transform, split an SPB2 trace into
+// Command secpb-trace works with SPB2 memory-operation traces: generate
+// a synthetic benchmark trace, re-segment a trace, dump a trace as
+// text, assemble text back into SPB2, report statistics, apply the
+// relaxed-consistency reordering transform, split a trace into
 // per-segment upload bodies for the streaming service, or run a trace
 // through the simulator and emit the canonical result JSON.
 //
 // gen, convert, dump, and stat stream batch-by-batch in constant
-// memory, so they handle traces far larger than RAM. Readers
-// auto-detect the format from the magic; writers default to SPB2
-// (-format spb1 selects the legacy flat encoding).
+// memory, so they handle traces far larger than RAM.
 //
 // Usage:
 //
 //	secpb-trace gen -bench gamess -ops 100000 -o gamess.spb2
-//	secpb-trace convert -i gamess.spb -o gamess.spb2
+//	secpb-trace convert -i gamess.spb2 -segops 256 -o gamess-256.spb2
 //	secpb-trace dump -i gamess.spb2 | head
 //	secpb-trace asm -i trace.txt -o trace.spb2
 //	secpb-trace stat -i gamess.spb2
@@ -127,24 +124,6 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// opWriter abstracts the two binary encoders so every subcommand picks
-// an output format the same way.
-type opWriter interface {
-	Write(trace.Op) error
-	Flush() error
-}
-
-func newOpWriter(w io.Writer, format string, segOps int) (opWriter, error) {
-	switch format {
-	case "spb2":
-		return trace.NewSegWriter(w, segOps), nil
-	case "spb1":
-		return trace.NewWriter(w), nil
-	default:
-		return nil, fmt.Errorf("unknown -format %q (want spb1 or spb2)", format)
-	}
-}
-
 func closeOut(out io.WriteCloser) error {
 	if _, ok := out.(nopWriteCloser); ok {
 		return nil
@@ -157,9 +136,8 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 	bench := fs.String("bench", "gcc", "benchmark profile (SPEC proxy or zoo name)")
 	ops := fs.Uint64("ops", 100_000, "operations to generate")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	out := fs.String("o", "-", "output file (binary trace)")
-	format := fs.String("format", "spb2", "output encoding: spb1 or spb2")
-	segOps := fs.Int("segops", 0, "SPB2 ops per segment (0 = default)")
+	out := fs.String("o", "-", "output file (SPB2 trace)")
+	segOps := fs.Int("segops", 0, "ops per segment (0 = default)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -177,120 +155,95 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dst, err := createOut(*out, stdout)
+	n, err := writeTrace(*out, stdout, *segOps, gen)
 	if err != nil {
-		return err
-	}
-	w, err := newOpWriter(dst, *format, *segOps)
-	if err != nil {
-		closeOut(dst)
-		return err
-	}
-	var n uint64
-	b := trace.NewBatch(trace.DefaultBatchCap)
-	for gen.NextBatch(b) {
-		if err := writeBatch(w, b); err != nil {
-			closeOut(dst)
-			return err
-		}
-		n += uint64(b.Len())
-	}
-	if err := w.Flush(); err != nil {
-		closeOut(dst)
-		return err
-	}
-	if err := closeOut(dst); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "wrote %d ops\n", n)
 	return nil
 }
 
-// writeBatch uses the columnar fast path when the writer has one.
-func writeBatch(w opWriter, b *trace.Batch) error {
-	if sw, ok := w.(*trace.SegWriter); ok {
-		return sw.WriteBatch(b)
+// writeTrace encodes every op of src as an SPB2 stream at path ("-" for
+// stdout) with segOps ops per segment. A source with no ops is refused
+// with a *trace.EmptyTraceError, and the stub output is removed: a
+// header-only file would look like a real trace to the next tool in a
+// pipeline.
+func writeTrace(path string, stdout io.Writer, segOps int, src trace.BatchSource) (uint64, error) {
+	dst, err := createOut(path, stdout)
+	if err != nil {
+		return 0, err
 	}
-	for i := 0; i < b.Len(); i++ {
-		if err := w.Write(b.Op(i)); err != nil {
-			return err
+	w := trace.NewSegWriter(dst, segOps)
+	// A filling source appends into buf; a view source (a recorded
+	// trace, a cursor) only repoints the copy's columns.
+	buf := trace.NewBatch(trace.DefaultBatchCap)
+	for b := *buf; src.NextBatch(&b); b = *buf {
+		if err := w.WriteBatch(&b); err != nil {
+			closeOut(dst)
+			return 0, err
 		}
 	}
-	return nil
+	if fs, ok := src.(*trace.FileBatchSource); ok && fs.Err() != nil {
+		closeOut(dst)
+		return 0, fs.Err()
+	}
+	if w.Count() == 0 {
+		closeOut(dst)
+		if path != "" && path != "-" {
+			os.Remove(path)
+		}
+		return 0, &trace.EmptyTraceError{Detail: "zero operations to write"}
+	}
+	if err := w.Flush(); err != nil {
+		closeOut(dst)
+		return 0, err
+	}
+	return w.Count(), closeOut(dst)
 }
 
+// openTrace opens an SPB2 trace ("-" for stdin) as a batched source.
+func openTrace(path string) (*trace.FileBatchSource, error) {
+	src, err := openIn(path)
+	if err != nil {
+		return nil, err
+	}
+	fsrc, err := trace.NewFileBatchSource(src)
+	if err != nil {
+		src.Close()
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return fsrc, nil
+}
+
+// cmdConvert re-segments an SPB2 trace: the same ops, sealed into
+// segments of -segops ops.
 func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("convert", stderr)
-	in := fs.String("i", "-", "input binary trace (format auto-detected)")
-	out := fs.String("o", "-", "output binary trace")
-	format := fs.String("format", "spb2", "output encoding: spb1 or spb2")
-	segOps := fs.Int("segops", 0, "SPB2 ops per segment (0 = default)")
+	in := fs.String("i", "-", "input SPB2 trace")
+	out := fs.String("o", "-", "output SPB2 trace")
+	segOps := fs.Int("segops", 0, "ops per output segment (0 = default)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *segOps < 0 {
 		return fmt.Errorf("-segops must be non-negative")
 	}
-	src, err := openIn(*in)
+	src, err := openTrace(*in)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	dec, err := trace.NewDecoder(src)
+	n, err := writeTrace(*out, stdout, *segOps, src)
 	if err != nil {
-		return fmt.Errorf("reading %s: %w", *in, err)
+		return fmt.Errorf("%s: %w", *in, err)
 	}
-	dst, err := createOut(*out, stdout)
-	if err != nil {
-		return err
-	}
-	w, err := newOpWriter(dst, *format, *segOps)
-	if err != nil {
-		closeOut(dst)
-		return err
-	}
-	var n uint64
-	for {
-		op, err := dec.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			closeOut(dst)
-			return fmt.Errorf("reading %s: %w", *in, err)
-		}
-		if err := w.Write(op); err != nil {
-			closeOut(dst)
-			return err
-		}
-		n++
-	}
-	if n == 0 {
-		// A zero-op input converts to a zero-op output — almost always a
-		// truncated capture or the wrong file. Refuse with the typed
-		// empty-trace error instead of silently writing a header-only
-		// stream (and remove the stub output, which would otherwise look
-		// like a successful conversion to the next tool in the pipeline).
-		closeOut(dst)
-		if *out != "" && *out != "-" {
-			os.Remove(*out)
-		}
-		return fmt.Errorf("%s: %w", *in, &trace.EmptyTraceError{Detail: "zero operations to convert"})
-	}
-	if err := w.Flush(); err != nil {
-		closeOut(dst)
-		return err
-	}
-	if err := closeOut(dst); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "converted %d ops (%s -> %s)\n", n, dec.Format(), *format)
+	fmt.Fprintf(stderr, "converted %d ops\n", n)
 	return nil
 }
 
 func cmdDump(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("dump", stderr)
-	in := fs.String("i", "-", "input binary trace (format auto-detected)")
+	in := fs.String("i", "-", "input SPB2 trace")
 	limit := fs.Int("n", 0, "dump at most n ops (0 = all)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -298,26 +251,26 @@ func cmdDump(args []string, stdout, stderr io.Writer) error {
 	if *limit < 0 {
 		return fmt.Errorf("-n must be non-negative")
 	}
-	src, err := openIn(*in)
+	src, err := openTrace(*in)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	dec, err := trace.NewDecoder(src)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", *in, err)
-	}
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
-	for i := 0; *limit == 0 || i < *limit; i++ {
-		op, err := dec.Read()
-		if err == io.EOF {
-			break
+	n := 0
+	var b trace.Batch
+	for src.NextBatch(&b) {
+		for i := 0; i < b.Len(); i++ {
+			if n == *limit && n > 0 {
+				return nil
+			}
+			fmt.Fprintln(w, trace.FormatText(b.Op(i)))
+			n++
 		}
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *in, err)
-		}
-		fmt.Fprintln(w, trace.FormatText(op))
+	}
+	if err := src.Err(); err != nil {
+		return fmt.Errorf("reading %s: %w", *in, err)
 	}
 	return nil
 }
@@ -325,8 +278,7 @@ func cmdDump(args []string, stdout, stderr io.Writer) error {
 func cmdAsm(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("asm", stderr)
 	in := fs.String("i", "-", "input text trace")
-	out := fs.String("o", "-", "output binary trace")
-	format := fs.String("format", "spb2", "output encoding: spb1 or spb2")
+	out := fs.String("o", "-", "output SPB2 trace")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -339,13 +291,9 @@ func cmdAsm(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	w, err := newOpWriter(dst, *format, 0)
-	if err != nil {
-		closeOut(dst)
-		return err
-	}
+	w := trace.NewSegWriter(dst, 0)
 	sc := bufio.NewScanner(src)
-	line, n := 0, 0
+	line := 0
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
@@ -360,7 +308,6 @@ func cmdAsm(args []string, stdout, stderr io.Writer) error {
 			closeOut(dst)
 			return err
 		}
-		n++
 	}
 	if err := sc.Err(); err != nil {
 		closeOut(dst)
@@ -373,48 +320,44 @@ func cmdAsm(args []string, stdout, stderr io.Writer) error {
 	if err := closeOut(dst); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "assembled %d ops\n", n)
+	fmt.Fprintf(stderr, "assembled %d ops\n", w.Count())
 	return nil
 }
 
 func cmdStat(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("stat", stderr)
-	in := fs.String("i", "-", "input binary trace (format auto-detected)")
+	in := fs.String("i", "-", "input SPB2 trace")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	src, err := openIn(*in)
+	src, err := openTrace(*in)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	dec, err := trace.NewDecoder(src)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", *in, err)
-	}
 	var n, loads, stores, fences, instrs uint64
 	blocks := map[addr.Block]uint64{}
-	for {
-		op, err := dec.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *in, err)
-		}
-		n++
-		instrs += op.Instructions()
-		switch op.Kind {
-		case trace.Load:
-			loads++
-		case trace.Store:
-			stores++
-			blocks[addr.BlockOf(op.Addr)]++
-		case trace.Fence:
-			fences++
+	var b trace.Batch
+	for src.NextBatch(&b) {
+		for i := 0; i < b.Len(); i++ {
+			op := b.Op(i)
+			n++
+			instrs += op.Instructions()
+			switch op.Kind {
+			case trace.Load:
+				loads++
+			case trace.Store:
+				stores++
+				blocks[addr.BlockOf(op.Addr)]++
+			case trace.Fence:
+				fences++
+			}
 		}
 	}
-	fmt.Fprintf(stdout, "format       %s\n", dec.Format())
+	if err := src.Err(); err != nil {
+		return fmt.Errorf("reading %s: %w", *in, err)
+	}
+	fmt.Fprintf(stdout, "format       spb2\n")
 	fmt.Fprintf(stdout, "ops          %d\n", n)
 	fmt.Fprintf(stdout, "instructions %d\n", instrs)
 	fmt.Fprintf(stdout, "loads        %d\n", loads)
@@ -432,11 +375,10 @@ func cmdStat(args []string, stdout, stderr io.Writer) error {
 
 func cmdReorder(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("reorder", stderr)
-	in := fs.String("i", "-", "input binary trace (format auto-detected)")
-	out := fs.String("o", "-", "output binary trace")
+	in := fs.String("i", "-", "input SPB2 trace")
+	out := fs.String("o", "-", "output SPB2 trace")
 	window := fs.Int("window", 16, "reorder window (stores)")
 	seed := fs.Uint64("seed", 1, "reorder seed")
-	format := fs.String("format", "spb2", "output encoding: spb1 or spb2")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -448,34 +390,12 @@ func cmdReorder(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer src.Close()
-	dec, err := trace.NewDecoder(src)
+	ops, err := trace.NewSegReader(src).ReadAll()
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", *in, err)
 	}
-	ops, err := dec.ReadAll()
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", *in, err)
-	}
-	dst, err := createOut(*out, stdout)
-	if err != nil {
-		return err
-	}
-	w, err := newOpWriter(dst, *format, 0)
-	if err != nil {
-		closeOut(dst)
-		return err
-	}
-	for _, op := range trace.Reorder(ops, *window, *seed) {
-		if err := w.Write(op); err != nil {
-			closeOut(dst)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		closeOut(dst)
-		return err
-	}
-	return closeOut(dst)
+	_, err = writeTrace(*out, stdout, 0, trace.NewSliceBatchSource(trace.Reorder(ops, *window, *seed)))
+	return err
 }
 
 // cmdSplit explodes an SPB2 trace into one file per sealed segment,
@@ -517,7 +437,7 @@ func cmdSplit(args []string, stdout, stderr io.Writer) error {
 // same trace, which is what makes the service smoke gate a byte-diff.
 func cmdRun(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("run", stderr)
-	in := fs.String("i", "-", "input binary trace (format auto-detected)")
+	in := fs.String("i", "-", "input SPB2 trace")
 	out := fs.String("o", "-", "output result JSON")
 	scheme := fs.String("scheme", "cobcm", "protection scheme")
 	bench := fs.String("bench", "gcc", "workload profile the trace was generated from")
@@ -534,16 +454,12 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	src, err := openIn(*in)
+	src, err := openTrace(*in)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	fsrc, err := trace.NewFileBatchSource(src)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", *in, err)
-	}
-	res, err := engine.RunRecorded(cfg, prof, fsrc)
+	res, err := engine.RunRecorded(cfg, prof, src)
 	if err != nil {
 		return err
 	}

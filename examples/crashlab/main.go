@@ -38,7 +38,7 @@ func runTo(scheme config.Scheme, ops uint64) *engine.Engine {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.Run(gen); err != nil {
+	if err := eng.RunBatch(gen); err != nil {
 		log.Fatal(err)
 	}
 	return eng

@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.Run(gen); err != nil {
+	if err := eng.RunBatch(gen); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncrash at cycle %d with %d entries in the SecPB\n", eng.Now(), eng.SecPB().Len())

@@ -146,7 +146,7 @@ func TestInjectionIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Run without any sink installed at all: the reference execution.
-	if err := plain.eng.Run(&indexedSource{ops: ops, pos: -1}); err != nil {
+	if err := plain.eng.RunBatch(plain.src); err != nil {
 		t.Fatal(err)
 	}
 

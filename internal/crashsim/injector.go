@@ -33,7 +33,7 @@ import (
 type Snapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64 // ordinal among all points fired this run
-	OpIndex    int    // trace op being executed when the point fired
+	OpIndex    int    // trace op being executed when the point fired (len(ops) after the last)
 	Cycle      uint64 // engine clock at capture
 	Committed  int    // stores past the point of persistency
 	InFlight   bool   // a drain was interrupted mid-tuple
@@ -65,24 +65,6 @@ type Handler func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) e
 // (the late work a recovery must fund).
 func (s *Snapshot) NumEntries() int { return len(s.entries) }
 
-// indexedSource feeds a fixed op slice to the engine while remembering
-// which op is in flight, so snapshots can report their trace position.
-type indexedSource struct {
-	ops []trace.Op
-	pos int // index of the op most recently handed out
-}
-
-func (s *indexedSource) Next() (trace.Op, bool) {
-	if s.pos+1 >= len(s.ops) {
-		if s.pos+1 == len(s.ops) {
-			s.pos++
-		}
-		return trace.Op{}, false
-	}
-	s.pos++
-	return s.ops[s.pos], true
-}
-
 // Injector drives one simulated run and crashes it at chosen points. It
 // implements crashpoint.Sink: every hook firing is counted, and firings
 // whose ordinal matches the sorted trigger list are captured, recovered
@@ -95,7 +77,7 @@ type Injector struct {
 	eng      *engine.Engine
 	cfg      config.Config
 	key      []byte
-	src      *indexedSource
+	src      *trace.SliceBatchSource
 	shadow   *shadow
 	triggers []uint64 // sorted ascending, distinct
 	cursor   int
@@ -112,7 +94,8 @@ type Injector struct {
 
 // rig is one worker's crash-cell machinery, recycled from cell to cell:
 // the engine both passes of a cell run on, reset in place before each
-// (engine.Reset), the golden shadow, and the snapshot whose stores and
+// (engine.Reset), the columnar copy of the cell's ops the engine
+// replays, the golden shadow, and the snapshot whose stores and
 // recovery state every capture reuses. A cell takes a rig from rigs
 // and returns it when it ends, so a worker pool that runs one cell
 // after another — Explore's, or any caller's — builds the machinery
@@ -120,6 +103,7 @@ type Injector struct {
 // by the garbage collector.
 type rig struct {
 	eng    *engine.Engine
+	ops    trace.Batch
 	shadow shadow
 	snap   *Snapshot
 }
@@ -130,7 +114,8 @@ func newRig() *rig { return &rig{snap: &Snapshot{rec: new(recoverer)}} }
 
 // newInjector readies r for one pass over ops under cfg: the engine is
 // built on r's first pass and reset to New's state on every later one,
-// and the shadow is emptied onto ops.
+// the rig's columnar copy is refilled with ops in place, and the shadow
+// is emptied onto ops.
 func newInjector(r *rig, cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, triggers []uint64, h Handler) (*Injector, error) {
 	if r.eng == nil {
 		eng, err := engine.New(cfg, prof, key)
@@ -141,6 +126,10 @@ func newInjector(r *rig, cfg config.Config, prof workload.Profile, key []byte, o
 	} else if err := r.eng.Reset(cfg, prof, key); err != nil {
 		return nil, err
 	}
+	r.ops.Reset()
+	for _, op := range ops {
+		r.ops.Append(op)
+	}
 	r.shadow.reset(ops)
 	mask := make([]bool, crashpoint.NumKinds())
 	for i := range mask {
@@ -150,7 +139,7 @@ func newInjector(r *rig, cfg config.Config, prof workload.Profile, key []byte, o
 		eng:      r.eng,
 		cfg:      cfg,
 		key:      append([]byte(nil), key...),
-		src:      &indexedSource{ops: ops, pos: -1},
+		src:      trace.NewBatchCursor(&r.ops),
 		shadow:   &r.shadow,
 		triggers: triggers,
 		handle:   h,
@@ -212,7 +201,7 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 	*snap = Snapshot{
 		Kind:       k,
 		PointIndex: i,
-		OpIndex:    in.src.pos,
+		OpIndex:    in.eng.OpIndex(),
 		Cycle:      in.eng.Now(),
 		Committed:  committed,
 		InFlight:   spb.InFlightDrain() != nil,
@@ -235,7 +224,7 @@ func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
 func (in *Injector) Run() error {
 	in.eng.SetCrashSink(in)
 	defer in.eng.SetCrashSink(nil)
-	if err := in.eng.Run(in.src); err != nil {
+	if err := in.eng.RunBatch(in.src); err != nil {
 		return fmt.Errorf("crashsim: engine run: %w", err)
 	}
 	if in.err != nil {

@@ -308,9 +308,9 @@ type systemInjector struct {
 }
 
 func newSystemInjector(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, triggers []uint64, h SystemHandler) (*systemInjector, error) {
-	srcs := make([]trace.Source, len(perCore))
+	srcs := make([]trace.BatchSource, len(perCore))
 	for c, ops := range perCore {
-		srcs[c] = &indexedSource{ops: ops, pos: -1}
+		srcs[c] = trace.NewSliceBatchSource(ops)
 	}
 	sys, err := engine.NewSystemSources(cfg, prof, key, srcs)
 	if err != nil {

@@ -80,7 +80,7 @@ func TestAblationCoalescingStillRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(gen); err != nil {
+		if err := e.RunBatch(gen); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		if _, _, err := e.SecPB().CrashDrain(); err != nil {

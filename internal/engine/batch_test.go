@@ -9,24 +9,31 @@ import (
 )
 
 // TestRunBatchMatchesScalarRun replays the same generated stream
-// through the scalar Step loop and the batched path and requires
-// identical results, BMT root and PM footprint — the batched replay is
-// a pure dispatch optimization, invisible to the simulation.
+// through a per-op Step loop and through RunBatch on the generator and
+// requires identical results, BMT root and PM footprint — the batched
+// replay is a pure dispatch optimization, invisible to the simulation.
 func TestRunBatchMatchesScalarRun(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.SchemeBBB, config.SchemeCOBCM, config.SchemeNoGap} {
 		cfg := config.Default().WithScheme(scheme)
 		prof := mustProfile(t, "povray")
 
-		// Scalar: materialize the ops and drive Run through a Source
-		// that is not a BatchSource.
 		ops, err := workload.Generate(prof, cfg.Seed, 20000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar := runOps(t, cfg, prof, ops)
+		scalar, err := New(cfg, prof, []byte("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if err := scalar.Step(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := scalar.Finish(); err != nil {
+			t.Fatal(err)
+		}
 
-		// Batched: Run on the generator itself dispatches to RunBatch
-		// (workload.Generator implements trace.BatchSource).
 		gen, err := workload.NewGenerator(prof, cfg.Seed, 20000)
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +42,7 @@ func TestRunBatchMatchesScalarRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := batched.Run(gen); err != nil {
+		if err := batched.RunBatch(gen); err != nil {
 			t.Fatal(err)
 		}
 

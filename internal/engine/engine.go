@@ -103,6 +103,23 @@ type Engine struct {
 	// operations advance used to perform, so the accumulator trajectory
 	// (and every derived cycle count) is bit-identical.
 	cpiTab [64]float64
+
+	// batch is RunBatch's own buffer, allocated on the first call and
+	// kept across Reset; filling sources (the workload generator)
+	// append into it. view is the header RunBatch hands the source: a
+	// fresh copy of batch's before every NextBatch, so a source that
+	// installs read-only views of its own columns (cursors, recorded
+	// traces) overwrites only view, and a later filling source never
+	// appends into another source's ops.
+	batch *trace.Batch
+	view  trace.Batch
+
+	// ops counts the ops executed since Reset, and opAt is the position
+	// of the op in flight, recorded only where a crash point can fire:
+	// at a store and at the end of a run (where opAt == ops). Loads and
+	// fences fire none.
+	ops  int
+	opAt int
 }
 
 // New builds an engine for the given configuration and workload profile.
@@ -160,6 +177,7 @@ func (e *Engine) Reset(cfg config.Config, prof workload.Profile, key []byte) err
 		gapHist:     stats.NewHistogram(256, 512),
 		blockCol:    e.blockCol[:0],
 		inflightBuf: e.inflightBuf,
+		batch:       e.batch,
 	}
 	for n := range e.cpiTab {
 		e.cpiTab[n] = float64(n) * prof.NonMemCPI
@@ -251,31 +269,19 @@ func (e *Engine) advance(gap uint32) {
 	e.now += whole
 }
 
+// OpIndex returns the position, counted from the last Reset, of the op
+// in flight when a crash point fires; at the end of a run it is the
+// number of ops executed. It is kept up to date only where a crash
+// point can fire, so read it from a crash sink.
+func (e *Engine) OpIndex() int { return e.opAt }
+
 // Step executes one memory operation.
 func (e *Engine) Step(op trace.Op) error {
 	if err := op.Validate(); err != nil {
 		return err
 	}
-	return e.step(op)
-}
-
-// StepBatch executes one columnar batch of operations: validated once
-// up front, then replayed through the same columnar loop RunBatch
-// uses. Callers that receive ops in externally-chosen chunks (the
-// trace-streaming service steps one uploaded segment at a time) get the
-// columnar fast path without committing to a whole-source Run; the
-// result trajectory is identical to the equivalent Step sequence at any
-// chunking, the same contract RunBatch's batching carries.
-func (e *Engine) StepBatch(b *trace.Batch) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	return e.replayBatch(b)
-}
-
-// step executes one already-validated operation (the batch replay path
-// validates whole batches up front).
-func (e *Engine) step(op trace.Op) error {
+	e.opAt = e.ops
+	e.ops++
 	e.advance(op.Gap)
 	switch op.Kind {
 	case trace.Load:
@@ -296,38 +302,41 @@ func (e *Engine) step(op trace.Op) error {
 	return nil
 }
 
-// Run drains the source. It returns the first error (trace corruption or
-// an integrity violation, which indicates a simulator bug or an injected
-// attack). Sources that also implement trace.BatchSource (the workload
-// generator) are replayed through the batched path; scalar sources
-// (codecs, recorded traces) take the per-op path. Both produce identical
-// results.
-func (e *Engine) Run(src trace.Source) error {
-	if bs, ok := src.(trace.BatchSource); ok {
-		return e.RunBatch(bs)
+// StepBatch executes one columnar batch of operations: validated once
+// up front, then replayed through the same columnar loop RunBatch
+// uses. Callers that receive ops in externally-chosen chunks (the
+// trace-streaming service steps one uploaded segment at a time) get the
+// columnar fast path without committing to a whole-source Run; the
+// result trajectory is identical to the equivalent Step sequence at any
+// chunking, the same contract RunBatch's batching carries.
+func (e *Engine) StepBatch(b *trace.Batch) error {
+	if err := b.Validate(); err != nil {
+		return err
 	}
-	for {
-		op, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := e.Step(op); err != nil {
-			return err
-		}
-	}
-	return e.finishRun()
+	return e.replayBatch(b)
 }
 
-// RunBatch drains a batched source: ops arrive in columnar chunks, each
+// Run is RunBatch under its older name.
+func (e *Engine) Run(src trace.BatchSource) error { return e.RunBatch(src) }
+
+// RunBatch drains the source: ops arrive in columnar chunks, each
 // validated once up front and replayed with no per-op interface
-// dispatch.
+// dispatch. It returns the first error (an invalid op, or an integrity
+// violation, which indicates a simulator bug or an injected attack).
+// Every chunking of the same ops gives the same result.
 func (e *Engine) RunBatch(src trace.BatchSource) error {
-	b := trace.NewBatch(trace.DefaultBatchCap)
-	for src.NextBatch(b) {
-		if err := b.Validate(); err != nil {
+	if e.batch == nil {
+		e.batch = trace.NewBatch(trace.DefaultBatchCap)
+	}
+	for {
+		e.view = *e.batch
+		if !src.NextBatch(&e.view) {
+			break
+		}
+		if err := e.view.Validate(); err != nil {
 			return err
 		}
-		if err := e.replayBatch(b); err != nil {
+		if err := e.replayBatch(&e.view); err != nil {
 			return err
 		}
 	}
@@ -340,6 +349,7 @@ func (e *Engine) RunBatch(src trace.BatchSource) error {
 // deferred drain tuples and staged BMT walks are committed so post-run
 // inspection starts from a settled controller.
 func (e *Engine) finishRun() error {
+	e.opAt = e.ops
 	if d := e.sb.DrainedBy(); d > e.now {
 		e.now = d
 	}

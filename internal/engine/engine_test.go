@@ -24,7 +24,7 @@ func runOps(t *testing.T, cfg config.Config, prof workload.Profile, ops []trace.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(trace.NewSliceSource(ops)); err != nil {
+	if err := e.RunBatch(trace.NewSliceBatchSource(ops)); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -101,7 +101,7 @@ func TestPersistedStateVerifiesAfterRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen, _ := workload.NewGenerator(prof, 42, 5000)
-		if err := e.Run(gen); err != nil {
+		if err := e.RunBatch(gen); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		if _, _, err := e.SecPB().CrashDrain(); err != nil {

@@ -50,7 +50,7 @@ func TestCrossSchemeFunctionalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(trace.NewSliceSource(ops)); err != nil {
+		if err := e.RunBatch(trace.NewSliceBatchSource(ops)); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		if spb := e.SecPB(); spb != nil {
@@ -95,7 +95,7 @@ func TestRandomTraceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(trace.NewSliceSource(ops)); err != nil {
+		if err := e.RunBatch(trace.NewSliceBatchSource(ops)); err != nil {
 			t.Fatalf("trial %d %v: %v", trial, scheme, err)
 		}
 		if _, _, err := e.SecPB().CrashDrain(); err != nil {
@@ -135,7 +135,7 @@ func TestEpochFencesNearlyFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(trace.NewSliceSource(stream)); err != nil {
+		if err := e.RunBatch(trace.NewSliceBatchSource(stream)); err != nil {
 			t.Fatal(err)
 		}
 		return e.Now()

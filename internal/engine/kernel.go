@@ -310,6 +310,7 @@ func (e *Engine) replayBatch(b *trace.Batch) error {
 			}
 			e.loadMiss(uint64(blocks[i]))
 		case trace.Store:
+			e.opAt = e.ops + i
 			if err := e.store(blocks[i], addrs[i], sizes[i], datas[i]); err != nil {
 				e.instrs += instrs
 				return err
@@ -321,5 +322,6 @@ func (e *Engine) replayBatch(b *trace.Batch) error {
 		}
 	}
 	e.instrs += instrs
+	e.ops += len(kinds)
 	return nil
 }

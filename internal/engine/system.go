@@ -122,8 +122,15 @@ func CoreSeed(seed uint64, c int) uint64 {
 type coreSim struct {
 	id   int
 	eng  *Engine
-	src  trace.Source
+	src  trace.BatchSource
 	done bool
+
+	// buf is the core's own batch, which filling sources append into;
+	// cur is the batch the core reads, refilled from a fresh copy of
+	// buf's header (as RunBatch does) when pos reaches its end.
+	buf *trace.Batch
+	cur trace.Batch
+	pos int
 
 	opIndex        int        // ops consumed from src so far
 	deferred       []trace.Op // shared ops awaiting the barrier
@@ -157,7 +164,7 @@ type System struct {
 // operations of prof per core, streams generated from per-core seeds.
 func NewSystem(cfg config.Config, prof workload.Profile, key []byte, nops uint64) (*System, error) {
 	n := cfg.EffectiveCores()
-	srcs := make([]trace.Source, n)
+	srcs := make([]trace.BatchSource, n)
 	for c := 0; c < n; c++ {
 		gen, err := workload.NewGenerator(prof, CoreSeed(cfg.Seed, c), nops)
 		if err != nil {
@@ -171,7 +178,7 @@ func NewSystem(cfg config.Config, prof workload.Profile, key []byte, nops uint64
 // NewSystemSources builds a System over caller-provided per-core op
 // sources (crashsim uses pre-materialized slices so its golden model
 // sees the identical stream).
-func NewSystemSources(cfg config.Config, prof workload.Profile, key []byte, srcs []trace.Source) (*System, error) {
+func NewSystemSources(cfg config.Config, prof workload.Profile, key []byte, srcs []trace.BatchSource) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -216,7 +223,7 @@ func NewSystemSources(cfg config.Config, prof workload.Profile, key []byte, srcs
 		if err != nil {
 			return nil, err
 		}
-		s.cores = append(s.cores, &coreSim{id: c, eng: eng, src: srcs[c]})
+		s.cores = append(s.cores, &coreSim{id: c, eng: eng, src: srcs[c], buf: trace.NewBatch(defaultEpochOps)})
 	}
 	return s, nil
 }
@@ -276,11 +283,16 @@ func (s *System) stepWorkers() int {
 func (s *System) stepEpoch(c *coreSim) error {
 	c.deferred = c.deferred[:0]
 	for n := 0; n < s.plan.epochOps; n++ {
-		op, ok := c.src.Next()
-		if !ok {
-			c.done = true
-			return nil
+		for c.pos == c.cur.Len() {
+			c.cur = *c.buf
+			if !c.src.NextBatch(&c.cur) {
+				c.done = true
+				return nil
+			}
+			c.pos = 0
 		}
+		op := c.cur.Op(c.pos)
+		c.pos++
 		idx := c.opIndex
 		c.opIndex++
 		op, shared := s.plan.Rewrite(c.id, idx, op)

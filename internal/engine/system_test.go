@@ -205,16 +205,12 @@ func TestSystemPeakOccupancy(t *testing.T) {
 func TestSharedPlanDeterminism(t *testing.T) {
 	cfg := config.Default().WithCores(2)
 	p1, p2 := NewSharedPlan(cfg), NewSharedPlan(cfg)
-	gen, err := workload.NewGenerator(mustProfile(t, "gcc"), cfg.Seed, 2000)
+	ops, err := workload.Generate(mustProfile(t, "gcc"), cfg.Seed, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := 0
-	for i := 0; ; i++ {
-		op, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for i, op := range ops {
 		r1, s1 := p1.Rewrite(1, i, op)
 		r2, s2 := p2.Rewrite(1, i, op)
 		if s1 != s2 || r1 != r2 {

@@ -63,7 +63,7 @@ func TestFaultSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.Run(gen); err != nil {
+				if err := e.RunBatch(gen); err != nil {
 					t.Fatal(err)
 				}
 				golden := e.Memory()

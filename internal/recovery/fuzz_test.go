@@ -57,7 +57,7 @@ func buildCorruptionBases() ([]*corruptionBase, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := e.Run(gen); err != nil {
+		if err := e.RunBatch(gen); err != nil {
 			return nil, err
 		}
 		rep, err := CrashAndRecover(e)

@@ -163,7 +163,7 @@ func RunHealCell(scheme config.Scheme, wl string, opts HealOptions) (HealCell, e
 	if err != nil {
 		return cell, err
 	}
-	if err := e.Run(gen); err != nil {
+	if err := e.RunBatch(gen); err != nil {
 		return cell, err
 	}
 	golden := e.Memory()

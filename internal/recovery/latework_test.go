@@ -32,7 +32,7 @@ func pendingImage(t *testing.T, scheme config.Scheme) (*nvm.Controller, []core.E
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(gen); err != nil {
+	if err := e.RunBatch(gen); err != nil {
 		t.Fatal(err)
 	}
 	entries := e.SecPB().AppendEntries(nil)

@@ -29,7 +29,7 @@ func crashedEngine(t *testing.T, scheme config.Scheme, bench string, seed uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(gen); err != nil {
+	if err := e.RunBatch(gen); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -33,7 +33,7 @@ func relaxedEngine(t *testing.T, scheme config.Scheme, window int) *engine.Engin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(trace.NewSliceSource(reordered)); err != nil {
+	if err := e.RunBatch(trace.NewSliceBatchSource(reordered)); err != nil {
 		t.Fatal(err)
 	}
 	return e

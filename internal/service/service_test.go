@@ -24,18 +24,11 @@ func genOps(t *testing.T, spec Spec, nops uint64) []trace.Op {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := workload.NewGenerator(prof, cfg.Seed, nops)
+	ops, err := workload.Generate(prof, cfg.Seed, int(nops))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops []trace.Op
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			return ops
-		}
-		ops = append(ops, op)
-	}
+	return ops
 }
 
 // segBodies encodes ops as SPB2 and splits them into one-segment

@@ -94,20 +94,21 @@ func (b *Batch) Validate() error {
 	return nil
 }
 
-// BatchSource yields ops in columnar chunks. Implementations fill b
-// (after resetting it) with up to its capacity of ops and report whether
-// it holds any; false means end of stream. A BatchSource usually also
-// implements Source so scalar consumers can drain it op by op, but a
-// stream must be consumed through one interface or the other, not both.
+// BatchSource is the simulator's one op stream: ops arrive in columnar
+// chunks. An implementation either fills b (after resetting it) with up
+// to its capacity of ops, as the workload generator does, or points b's
+// columns at read-only views of ops it already holds, as cursors and
+// recorded-trace sources do; either way it reports whether b holds any
+// ops, and false means end of stream.
 type BatchSource interface {
 	NextBatch(b *Batch) bool
 }
 
 // SliceBatchSource replays a pre-materialized op stream in columnar
-// chunks — the batched counterpart of SliceSource, for benchmarks,
-// tests and experiment grids that want the batched replay path without
-// generator cost in the loop. NextBatch installs zero-copy subslice
-// views into the consumer's batch instead of copying op by op.
+// chunks, for benchmarks, tests, crash injection and experiment grids
+// that want to replay the same ops more than once without generator
+// cost in the loop. NextBatch installs zero-copy subslice views into the
+// consumer's batch instead of copying op by op.
 type SliceBatchSource struct {
 	cols Batch
 	pos  int
@@ -122,6 +123,9 @@ func NewSliceBatchSource(ops []Op) *SliceBatchSource {
 	}
 	return NewBatchCursor(b)
 }
+
+// NewSliceSource is NewSliceBatchSource under its older name.
+func NewSliceSource(ops []Op) *SliceBatchSource { return NewSliceBatchSource(ops) }
 
 // NewBatchCursor returns an independent read-only cursor over b's ops,
 // sharing b's columns without copying them. Any number of cursors may

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzParseText: the text parser must never panic and must round-trip
 // whatever it accepts.
@@ -30,49 +27,6 @@ func FuzzParseText(f *testing.F) {
 		}
 		if again != op {
 			t.Fatalf("round trip changed op: %+v -> %+v", op, again)
-		}
-	})
-}
-
-// FuzzReader: the binary decoder must never panic on corrupt input, and
-// anything it fully decodes must re-encode.
-func FuzzReader(f *testing.F) {
-	var seed bytes.Buffer
-	w := NewWriter(&seed)
-	w.Write(Op{Kind: Store, Addr: 0x1000, Size: 8, Data: 42, Gap: 7})
-	w.Write(Op{Kind: Load, Addr: 0x2000, Size: 4, Gap: 0})
-	w.Write(Op{Kind: Fence})
-	w.Flush()
-	f.Add(seed.Bytes())
-	f.Add([]byte("SPB1"))
-	f.Add([]byte("XXXX"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, err := NewReader(bytes.NewReader(data)).ReadAll()
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		w := NewWriter(&out)
-		for _, op := range ops {
-			if werr := w.Write(op); werr != nil {
-				t.Fatalf("decoded op %+v does not re-encode: %v", op, werr)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		ops2, err := NewReader(bytes.NewReader(out.Bytes())).ReadAll()
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(ops2) != len(ops) {
-			t.Fatalf("re-decode count %d != %d", len(ops2), len(ops))
-		}
-		for i := range ops {
-			if ops[i] != ops2[i] {
-				t.Fatalf("op %d changed across re-encode", i)
-			}
 		}
 	})
 }

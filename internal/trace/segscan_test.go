@@ -18,10 +18,10 @@ func TestSegReaderEmptyFile(t *testing.T) {
 	if !errors.As(err, &ee) {
 		t.Fatalf("empty file: error %T (%v), want *EmptyTraceError", err, err)
 	}
-	// Same through the scalar Read path.
+	// Same through ReadSegment.
 	sr = NewSegReader(bytes.NewReader(nil))
-	if _, err := sr.Read(); !errors.As(err, &ee) {
-		t.Fatalf("empty file Read: %T (%v), want *EmptyTraceError", err, err)
+	if err := sr.ReadSegment(NewBatch(0)); !errors.As(err, &ee) {
+		t.Fatalf("empty file ReadSegment: %T (%v), want *EmptyTraceError", err, err)
 	}
 }
 

@@ -1,10 +1,10 @@
-// SPB2 is the segmented columnar on-disk trace format: the Batch SoA
-// layout, persisted. A file is the 5-byte header (magic + version)
-// followed by independent segments; each segment carries per-kind op
-// counts, delta/varint-compressed columns and an FNV-64a seal, so a
-// reader can stream in constant memory, detect any bit flip, truncation
-// or stale version with a typed error, and hand zero-copy column views
-// straight to the engine's batched replay loop.
+// SPB2 is the on-disk trace format: the Batch SoA layout, persisted. A
+// file is the 5-byte header (magic + version) followed by independent
+// segments; each segment carries per-kind op counts, delta/varint-
+// compressed columns and an FNV-64a seal, so a reader can stream in
+// constant memory, detect any bit flip, truncation or stale version with
+// a typed error, and hand zero-copy column views straight to the
+// engine's batched replay loop.
 //
 // Column encodings (all little-endian, all per segment):
 //
@@ -18,8 +18,8 @@
 //	       (the writer picks whichever is smallest for the segment)
 //
 // Store bursts delta to +8, sequence-numbered payloads delta to +1 and
-// gaps inside bursts vanish into the bitmap, which is where the >=2x
-// size win over the flat SPB1 encoding comes from.
+// gaps inside bursts vanish into the bitmap, which is where most of the
+// size win over a flat per-op varint encoding comes from.
 package trace
 
 import (
@@ -350,10 +350,6 @@ type SegReader struct {
 	begun   bool
 	segIdx  int
 	payload []byte
-
-	// Scalar-read cursor over the current decoded segment.
-	seg *Batch
-	pos int
 }
 
 // NewSegReader returns a SegReader consuming from r.
@@ -366,8 +362,18 @@ func (sr *SegReader) header() error {
 	if sr.begun {
 		return nil
 	}
-	var hdr [5]byte
-	if n, err := io.ReadFull(sr.r, hdr[:]); err != nil {
+	if err := readHeader(sr.r); err != nil {
+		return err
+	}
+	sr.begun = true
+	return nil
+}
+
+// readHeader consumes and validates an SPB2 file header: no bytes at
+// all is an *EmptyTraceError, anything else wrong a *CorruptTraceError.
+func readHeader(r io.Reader) error {
+	var hdr [SPB2HeaderLen]byte
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if n == 0 {
 			return &EmptyTraceError{Detail: "no bytes (not even a magic)"}
 		}
@@ -380,7 +386,6 @@ func (sr *SegReader) header() error {
 		return &CorruptTraceError{Seg: -1,
 			Detail: fmt.Sprintf("version stamp %d, this reader handles %d", hdr[4], SPB2Version)}
 	}
-	sr.begun = true
 	return nil
 }
 
@@ -604,34 +609,22 @@ func (sr *SegReader) decodePayload(b *Batch) error {
 	return nil
 }
 
-// Read returns the next op, or io.EOF at a clean end of trace.
-func (sr *SegReader) Read() (Op, error) {
-	for sr.seg == nil || sr.pos >= sr.seg.Len() {
-		if sr.seg == nil {
-			sr.seg = NewBatch(DefaultSegOps)
-		}
-		if err := sr.ReadSegment(sr.seg); err != nil {
-			return Op{}, err
-		}
-		sr.pos = 0
-	}
-	op := sr.seg.Op(sr.pos)
-	sr.pos++
-	return op, nil
-}
-
-// ReadAll drains the reader into a slice.
+// ReadAll drains the reader into a slice. On error it returns the ops
+// of every segment before the damaged one.
 func (sr *SegReader) ReadAll() ([]Op, error) {
 	var ops []Op
+	b := NewBatch(DefaultSegOps)
 	for {
-		op, err := sr.Read()
+		err := sr.ReadSegment(b)
 		if err == io.EOF {
 			return ops, nil
 		}
 		if err != nil {
 			return ops, err
 		}
-		ops = append(ops, op)
+		for i := range b.Kinds {
+			ops = append(ops, b.Op(i))
+		}
 	}
 }
 
@@ -659,19 +652,8 @@ func SPB2Header() []byte {
 // if it must outlive fn. Returns the number of segments scanned.
 func ScanSegments(r io.Reader, fn func(seg int, frame []byte) error) (int, error) {
 	br := bufio.NewReader(r)
-	var hdr [SPB2HeaderLen]byte
-	if n, err := io.ReadFull(br, hdr[:]); err != nil {
-		if n == 0 {
-			return 0, &EmptyTraceError{Detail: "no bytes (not even a magic)"}
-		}
-		return 0, &CorruptTraceError{Seg: -1, Detail: fmt.Sprintf("short header: %v", err)}
-	}
-	if [4]byte(hdr[:4]) != magic2 {
-		return 0, &CorruptTraceError{Seg: -1, Detail: "bad magic (not an SPB2 trace)"}
-	}
-	if hdr[4] != SPB2Version {
-		return 0, &CorruptTraceError{Seg: -1,
-			Detail: fmt.Sprintf("version stamp %d, this reader handles %d", hdr[4], SPB2Version)}
+	if err := readHeader(br); err != nil {
+		return 0, err
 	}
 	var frame []byte
 	for seg := 0; ; seg++ {
@@ -714,129 +696,36 @@ func ScanSegments(r io.Reader, fn func(seg int, frame []byte) error) (int, error
 	}
 }
 
-// Format identifies an on-disk trace encoding.
-type Format int
-
-const (
-	// FormatSPB1 is the flat per-op varint encoding (Writer/Reader).
-	FormatSPB1 Format = iota + 1
-	// FormatSPB2 is the segmented columnar encoding (SegWriter/SegReader).
-	FormatSPB2
-)
-
-// String names the format.
-func (f Format) String() string {
-	switch f {
-	case FormatSPB1:
-		return "spb1"
-	case FormatSPB2:
-		return "spb2"
-	default:
-		return fmt.Sprintf("format(%d)", int(f))
-	}
-}
-
-// Decoder streams ops from either on-disk format, auto-detected from
-// the magic, so tooling and replay accept old SPB1 traces and new SPB2
-// traces through one interface.
-type Decoder struct {
-	format Format
-	r1     *Reader
-	r2     *SegReader
-}
-
-// NewDecoder sniffs r's magic and returns a streaming decoder for
-// whichever format it holds.
-func NewDecoder(r io.Reader) (*Decoder, error) {
-	br := bufio.NewReader(r)
-	hdr, err := br.Peek(4)
-	if err != nil {
-		if len(hdr) == 0 {
-			return nil, &EmptyTraceError{Detail: "no bytes (not even a magic)"}
-		}
-		return nil, &CorruptTraceError{Seg: -1, Detail: fmt.Sprintf("short header: %v", err)}
-	}
-	switch {
-	case [4]byte(hdr) == magic:
-		return &Decoder{format: FormatSPB1, r1: NewReader(br)}, nil
-	case [4]byte(hdr) == magic2:
-		return &Decoder{format: FormatSPB2, r2: NewSegReader(br)}, nil
-	default:
-		return nil, &CorruptTraceError{Seg: -1, Detail: "bad magic (neither SPB1 nor SPB2)"}
-	}
-}
-
-// Format returns the detected encoding.
-func (d *Decoder) Format() Format { return d.format }
-
-// Read returns the next op, or io.EOF at end of trace.
-func (d *Decoder) Read() (Op, error) {
-	if d.r1 != nil {
-		return d.r1.Read()
-	}
-	return d.r2.Read()
-}
-
-// ReadAll drains the decoder into a slice.
-func (d *Decoder) ReadAll() ([]Op, error) {
-	if d.r1 != nil {
-		return d.r1.ReadAll()
-	}
-	return d.r2.ReadAll()
-}
-
-// readSegment fills b with the next chunk of ops: a whole decoded
-// segment for SPB2, up to DefaultSegOps scalar reads for SPB1.
-func (d *Decoder) readSegment(b *Batch) error {
-	if d.r2 != nil {
-		return d.r2.ReadSegment(b)
-	}
-	b.Reset()
-	for b.Len() < DefaultSegOps {
-		op, err := d.r1.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		b.Append(op)
-	}
-	if b.Len() == 0 {
-		return io.EOF
-	}
-	return nil
-}
-
-// FileBatchSource replays a recorded trace as a trace.BatchSource (and
-// scalar Source), so the harness and engine.RunBatch run recorded
-// traces exactly as they run generated ones. Decoding is segment-at-a-
-// time into one internal buffer. NextBatch hands out zero-copy views of
-// it, which stay valid only until the next NextBatch call: the
-// following segment decodes over them. The engine's replay loop
-// finishes with each batch before it asks for the next one.
+// FileBatchSource replays a recorded SPB2 trace as a trace.BatchSource,
+// so the harness and engine.RunBatch run recorded traces exactly as
+// they run generated ones. Decoding is segment-at-a-time into one
+// internal buffer. NextBatch hands out zero-copy views of it, which stay
+// valid only until the next NextBatch call: the following segment
+// decodes over them. The engine's replay loop finishes with each batch
+// before it asks for the next one.
 //
 // NextBatch returning false means end of stream or error; callers must
-// check Err afterwards. As with any BatchSource, consume the stream
-// through NextBatch or Next, not both.
+// check Err afterwards.
 type FileBatchSource struct {
-	c    io.Closer
-	d    *Decoder
-	buf  *Batch
-	pos  int
-	n    uint64
-	err  error
-	done bool
+	c   io.Closer
+	sr  *SegReader
+	buf *Batch
+	pos int
+	n   uint64
+	err error // first ReadSegment error; io.EOF after a clean end
 }
 
-// NewFileBatchSource returns a batched source over r (either format).
-// If r is an io.Closer, Close closes it.
+// NewFileBatchSource returns a batched source over the SPB2 stream r.
+// The header is checked here, so an empty stream fails with an
+// *EmptyTraceError and a foreign or damaged one with a
+// *CorruptTraceError before any op is asked for. If r is an io.Closer,
+// Close closes it.
 func NewFileBatchSource(r io.Reader) (*FileBatchSource, error) {
-	d, err := NewDecoder(r)
-	if err != nil {
+	sr := NewSegReader(r)
+	if err := sr.header(); err != nil {
 		return nil, err
 	}
-	s := &FileBatchSource{d: d, buf: NewBatch(DefaultSegOps)}
+	s := &FileBatchSource{sr: sr, buf: NewBatch(DefaultSegOps)}
 	if c, ok := r.(io.Closer); ok {
 		s.c = c
 	}
@@ -857,31 +746,17 @@ func OpenFile(path string) (*FileBatchSource, error) {
 	return s, nil
 }
 
-// advance decodes segments until the cursor points at unread ops.
-func (s *FileBatchSource) advance() bool {
-	if s.err != nil || s.done {
-		return false
-	}
-	for s.pos >= s.buf.Len() {
-		err := s.d.readSegment(s.buf)
-		if err == io.EOF {
-			s.done = true
-			return false
-		}
-		if err != nil {
-			s.err = err
-			return false
-		}
-		s.pos = 0
-	}
-	return true
-}
-
 // NextBatch implements trace.BatchSource: b's columns become read-only
 // views into the current decoded segment.
 func (s *FileBatchSource) NextBatch(b *Batch) bool {
-	if !s.advance() {
-		return false
+	for s.pos >= s.buf.Len() {
+		if s.err != nil {
+			return false
+		}
+		if s.err = s.sr.ReadSegment(s.buf); s.err != nil {
+			return false
+		}
+		s.pos = 0
 	}
 	n := s.buf.Len() - s.pos
 	if n > DefaultBatchCap {
@@ -893,25 +768,16 @@ func (s *FileBatchSource) NextBatch(b *Batch) bool {
 	return true
 }
 
-// Next implements trace.Source.
-func (s *FileBatchSource) Next() (Op, bool) {
-	if !s.advance() {
-		return Op{}, false
-	}
-	op := s.buf.Op(s.pos)
-	s.pos++
-	s.n++
-	return op, true
-}
-
 // Count returns the number of ops handed out so far.
 func (s *FileBatchSource) Count() uint64 { return s.n }
 
-// Format returns the underlying file's encoding.
-func (s *FileBatchSource) Format() Format { return s.d.Format() }
-
 // Err returns the first decode error (nil after a clean end of stream).
-func (s *FileBatchSource) Err() error { return s.err }
+func (s *FileBatchSource) Err() error {
+	if s.err == io.EOF {
+		return nil
+	}
+	return s.err
+}
 
 // Close closes the underlying file, if any.
 func (s *FileBatchSource) Close() error {

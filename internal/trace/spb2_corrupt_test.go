@@ -3,23 +3,14 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 )
 
 // decodeAll attempts a full decode of raw as SPB2, returning the first
 // error (nil only for a clean, complete decode).
 func decodeAll(raw []byte) error {
-	sr := NewSegReader(bytes.NewReader(raw))
-	for {
-		_, err := sr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+	_, err := NewSegReader(bytes.NewReader(raw)).ReadAll()
+	return err
 }
 
 // requireCorrupt fails unless err is a *CorruptTraceError: damage must
@@ -136,15 +127,15 @@ func TestSegStaleVersion(t *testing.T) {
 	}
 }
 
-// TestSegBadMagic requires both the SegReader and the Decoder to refuse
-// a wrong magic with a typed error.
+// TestSegBadMagic requires both the SegReader and, already at open,
+// the FileBatchSource to refuse a wrong magic with a typed error.
 func TestSegBadMagic(t *testing.T) {
 	enc := encodeSPB2(t, genOps(50), 0)
 	mut := bytes.Clone(enc)
 	copy(mut, "SPBX")
 	requireCorrupt(t, decodeAll(mut), "SegReader magic")
-	_, err := NewDecoder(bytes.NewReader(mut))
-	requireCorrupt(t, err, "Decoder magic")
+	_, err := NewFileBatchSource(bytes.NewReader(mut))
+	requireCorrupt(t, err, "NewFileBatchSource magic")
 }
 
 // TestSegOversizeCaps requires fabricated payload lengths and op counts

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"testing"
 )
 
@@ -123,25 +122,19 @@ func FuzzSegReader(f *testing.F) {
 	f.Add([]byte("SPB1junk"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr := NewSegReader(bytes.NewReader(data))
-		var ops []Op
-		for {
-			op, err := sr.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				var ce *CorruptTraceError
-				var ee *EmptyTraceError
-				if !errors.As(err, &ce) && !errors.As(err, &ee) {
-					t.Fatalf("untyped decode error %T: %v", err, err)
-				}
-				return
-			}
+		ops, err := NewSegReader(bytes.NewReader(data)).ReadAll()
+		for _, op := range ops {
 			if verr := op.Validate(); verr != nil {
 				t.Fatalf("decoder emitted invalid op %+v: %v", op, verr)
 			}
-			ops = append(ops, op)
+		}
+		if err != nil {
+			var ce *CorruptTraceError
+			var ee *EmptyTraceError
+			if !errors.As(err, &ce) && !errors.As(err, &ee) {
+				t.Fatalf("untyped decode error %T: %v", err, err)
+			}
+			return
 		}
 		// Fully decoded: the stream must re-encode and re-decode stable.
 		var out bytes.Buffer

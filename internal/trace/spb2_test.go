@@ -168,76 +168,17 @@ func TestSegEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestDecoderAutoDetect checks the Decoder sniffs both formats and
-// yields identical ops from each.
-func TestDecoderAutoDetect(t *testing.T) {
-	ops := genOps(800)
-
-	var spb1 bytes.Buffer
-	w := NewWriter(&spb1)
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatalf("SPB1 Write: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("SPB1 Flush: %v", err)
-	}
-	spb2 := encodeSPB2(t, ops, 0)
-
-	for _, tc := range []struct {
-		name string
-		data []byte
-		want Format
-	}{
-		{"spb1", spb1.Bytes(), FormatSPB1},
-		{"spb2", spb2, FormatSPB2},
-	} {
-		d, err := NewDecoder(bytes.NewReader(tc.data))
-		if err != nil {
-			t.Fatalf("%s: NewDecoder: %v", tc.name, err)
-		}
-		if d.Format() != tc.want {
-			t.Fatalf("%s: Format = %v, want %v", tc.name, d.Format(), tc.want)
-		}
-		got, err := d.ReadAll()
-		if err != nil {
-			t.Fatalf("%s: ReadAll: %v", tc.name, err)
-		}
-		opsEqual(t, got, ops, tc.name+" decode")
-	}
-
-	if _, err := NewDecoder(bytes.NewReader([]byte("GARBAGE!"))); err == nil {
-		t.Fatal("decoder accepted unknown magic")
-	} else if _, ok := err.(*CorruptTraceError); !ok {
-		t.Fatalf("unknown magic error type %T, want *CorruptTraceError", err)
-	}
-}
-
 // TestFileBatchSourceMatchesSlice checks replaying an encoded trace
-// through FileBatchSource yields exactly the ops of a SliceBatchSource
-// over the original stream — through both the batched and the scalar
-// interface, for both on-disk formats.
+// through FileBatchSource yields exactly the ops of the original
+// stream, for segments smaller than, misaligned with and larger than a
+// replay batch.
 func TestFileBatchSourceMatchesSlice(t *testing.T) {
 	ops := genOps(10_000)
-	spb2 := encodeSPB2(t, ops, 777) // segments misaligned with DefaultBatchCap
-	var spb1 bytes.Buffer
-	w := NewWriter(&spb1)
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatalf("SPB1 Write: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("SPB1 Flush: %v", err)
-	}
-
 	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"spb2", spb2}, {"spb1", spb1.Bytes()}} {
-		// Batched interface.
-		fs, err := NewFileBatchSource(bytes.NewReader(tc.data))
+		name   string
+		segOps int
+	}{{"seg777", 777}, {"seg4096", DefaultBatchCap}, {"seg5000", 5000}} {
+		fs, err := NewFileBatchSource(bytes.NewReader(encodeSPB2(t, ops, tc.segOps)))
 		if err != nil {
 			t.Fatalf("%s: NewFileBatchSource: %v", tc.name, err)
 		}
@@ -255,24 +196,6 @@ func TestFileBatchSourceMatchesSlice(t *testing.T) {
 		if fs.Count() != uint64(len(ops)) {
 			t.Fatalf("%s: Count = %d, want %d", tc.name, fs.Count(), len(ops))
 		}
-
-		// Scalar interface.
-		fs2, err := NewFileBatchSource(bytes.NewReader(tc.data))
-		if err != nil {
-			t.Fatalf("%s: NewFileBatchSource: %v", tc.name, err)
-		}
-		got = got[:0]
-		for {
-			op, ok := fs2.Next()
-			if !ok {
-				break
-			}
-			got = append(got, op)
-		}
-		if err := fs2.Err(); err != nil {
-			t.Fatalf("%s: Err after Next drain: %v", tc.name, err)
-		}
-		opsEqual(t, got, ops, tc.name+" Next")
 	}
 }
 
@@ -309,29 +232,6 @@ func TestFileBatchSourceSingleBuffer(t *testing.T) {
 	}
 	if pos != len(ops) || batches != 3 {
 		t.Fatalf("replayed %d ops in %d batches, want %d in 3", pos, batches, len(ops))
-	}
-}
-
-// TestSPB2SmallerThanSPB1 checks SPB2 wins even on this deliberately
-// hostile stream — random addresses, half the payloads incompressible.
-// The headline >=2x gate runs against the real zoo traces in the
-// workload package, next to the generators that produce them.
-func TestSPB2SmallerThanSPB1(t *testing.T) {
-	ops := genOps(20_000)
-	var spb1 bytes.Buffer
-	w := NewWriter(&spb1)
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	spb2 := encodeSPB2(t, ops, 0)
-	if ratio := float64(spb1.Len()) / float64(len(spb2)); ratio < 1.25 {
-		t.Fatalf("SPB2 only %.2fx smaller than SPB1 (%d vs %d bytes), want >= 1.25x",
-			ratio, len(spb2), spb1.Len())
 	}
 }
 

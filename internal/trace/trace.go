@@ -1,17 +1,14 @@
 // Package trace defines the memory-operation stream consumed by the
-// simulator, plus binary and text codecs so traces can be stored,
-// inspected, and replayed. The simulator is trace-driven: a workload
-// generator (internal/workload) or a recorded application produces a
-// stream of Ops; internal/engine replays them against the modelled
-// hierarchy.
+// simulator, plus the SPB2 binary format and a text codec so traces can
+// be stored, inspected, and replayed. The simulator is trace-driven: a
+// workload generator (internal/workload) or a recorded application
+// produces a stream of Ops in columnar batches (BatchSource);
+// internal/engine replays them against the modelled hierarchy.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -76,128 +73,6 @@ func (o Op) Validate() error {
 		return fmt.Errorf("trace: unknown kind %d", o.Kind)
 	}
 	return nil
-}
-
-// magic identifies the binary trace format.
-var magic = [4]byte{'S', 'P', 'B', '1'}
-
-// Writer streams ops in the compact binary format.
-type Writer struct {
-	w     *bufio.Writer
-	n     uint64
-	begun bool
-}
-
-// NewWriter returns a Writer emitting to w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// Write appends one op.
-func (tw *Writer) Write(op Op) error {
-	if !tw.begun {
-		if _, err := tw.w.Write(magic[:]); err != nil {
-			return err
-		}
-		tw.begun = true
-	}
-	if err := op.Validate(); err != nil {
-		return err
-	}
-	var buf [1 + 4*binary.MaxVarintLen64]byte
-	buf[0] = byte(op.Kind)<<4 | op.Size
-	n := 1
-	n += binary.PutUvarint(buf[n:], op.Addr)
-	n += binary.PutUvarint(buf[n:], uint64(op.Gap))
-	if op.Kind == Store {
-		n += binary.PutUvarint(buf[n:], op.Data)
-	}
-	_, err := tw.w.Write(buf[:n])
-	tw.n++
-	return err
-}
-
-// Flush flushes buffered output. It must be called when done.
-func (tw *Writer) Flush() error {
-	if !tw.begun {
-		if _, err := tw.w.Write(magic[:]); err != nil {
-			return err
-		}
-		tw.begun = true
-	}
-	return tw.w.Flush()
-}
-
-// Count returns the number of ops written.
-func (tw *Writer) Count() uint64 { return tw.n }
-
-// Reader streams ops from the binary format.
-type Reader struct {
-	r      *bufio.Reader
-	begun  bool
-	badHdr error
-}
-
-// NewReader returns a Reader consuming from r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// Read returns the next op, or io.EOF at end of trace.
-func (tr *Reader) Read() (Op, error) {
-	if !tr.begun {
-		var hdr [4]byte
-		if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
-			return Op{}, fmt.Errorf("trace: reading header: %w", err)
-		}
-		if hdr != magic {
-			return Op{}, errors.New("trace: bad magic (not an SPB1 trace)")
-		}
-		tr.begun = true
-	}
-	tag, err := tr.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return Op{}, io.EOF
-		}
-		return Op{}, err
-	}
-	op := Op{Kind: Kind(tag >> 4), Size: tag & 0x0F}
-	if op.Addr, err = binary.ReadUvarint(tr.r); err != nil {
-		return Op{}, fmt.Errorf("trace: truncated addr: %w", err)
-	}
-	gap, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		return Op{}, fmt.Errorf("trace: truncated gap: %w", err)
-	}
-	if gap > 1<<32-1 {
-		return Op{}, fmt.Errorf("trace: gap %d overflows uint32", gap)
-	}
-	op.Gap = uint32(gap)
-	if op.Kind == Store {
-		if op.Data, err = binary.ReadUvarint(tr.r); err != nil {
-			return Op{}, fmt.Errorf("trace: truncated data: %w", err)
-		}
-	}
-	if err := op.Validate(); err != nil {
-		return Op{}, err
-	}
-	return op, nil
-}
-
-// ReadAll drains the reader into a slice.
-func (tr *Reader) ReadAll() ([]Op, error) {
-	var ops []Op
-	for {
-		op, err := tr.Read()
-		if err == io.EOF {
-			return ops, nil
-		}
-		if err != nil {
-			return ops, err
-		}
-		ops = append(ops, op)
-	}
 }
 
 // FormatText renders one op per line, e.g.:
@@ -279,32 +154,3 @@ func ParseText(line string) (Op, error) {
 	}
 	return op, nil
 }
-
-// Source is anything that yields a stream of ops: a Reader over a stored
-// trace, or a live workload generator.
-type Source interface {
-	// Next returns the next op; ok is false at end of stream.
-	Next() (op Op, ok bool)
-}
-
-// SliceSource replays a fixed slice of ops.
-type SliceSource struct {
-	ops []Op
-	i   int
-}
-
-// NewSliceSource returns a Source over ops.
-func NewSliceSource(ops []Op) *SliceSource { return &SliceSource{ops: ops} }
-
-// Next implements Source.
-func (s *SliceSource) Next() (Op, bool) {
-	if s.i >= len(s.ops) {
-		return Op{}, false
-	}
-	op := s.ops[s.i]
-	s.i++
-	return op, true
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.i = 0 }

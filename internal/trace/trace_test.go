@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -38,85 +38,23 @@ func randomOps(seed uint64, n int) []Op {
 	return ops
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	ops := randomOps(1, 5000)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 5000 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	got, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("read %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Fatalf("op %d: got %+v want %+v", i, got[i], ops[i])
-		}
-	}
-}
-
+// TestEmptyTrace: a header-only stream opens as a source that yields no
+// batch and ends cleanly; only a stream with no header at all is the
+// typed empty-trace error.
 func TestEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewReader(&buf).ReadAll()
+	fs, err := NewFileBatchSource(bytes.NewReader(SPB2Header()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("empty trace read %d ops", len(got))
+	if fs.NextBatch(NewBatch(0)) {
+		t.Error("header-only trace yielded a batch")
 	}
-}
-
-func TestBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("XXXX....")))
-	if _, err := r.Read(); err == nil {
-		t.Fatal("bad magic accepted")
+	if err := fs.Err(); err != nil {
+		t.Errorf("Err = %v after a clean end", err)
 	}
-}
-
-func TestTruncatedTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(Op{Kind: Store, Addr: 0x1000, Size: 8, Data: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 5; cut < len(full); cut++ {
-		r := NewReader(bytes.NewReader(full[:cut]))
-		if _, err := r.Read(); err == nil {
-			t.Errorf("truncation at %d bytes accepted", cut)
-		}
-	}
-}
-
-func TestWriterRejectsInvalidOp(t *testing.T) {
-	w := NewWriter(io.Discard)
-	if err := w.Write(Op{Kind: Store, Addr: 0, Size: 0}); err == nil {
-		t.Error("size-0 store accepted")
-	}
-	if err := w.Write(Op{Kind: Store, Addr: 1, Size: 8, Data: 1}); err == nil {
-		t.Error("misaligned store accepted")
-	}
-	if err := w.Write(Op{Kind: Kind(9), Size: 8}); err == nil {
-		t.Error("unknown kind accepted")
+	var ee *EmptyTraceError
+	if _, err := NewFileBatchSource(bytes.NewReader(nil)); !errors.As(err, &ee) {
+		t.Errorf("zero-byte trace: %v, want *EmptyTraceError", err)
 	}
 }
 
@@ -167,61 +105,8 @@ func TestValidateProperty(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	ops := randomOps(3, 10)
-	src := NewSliceSource(ops)
-	var got []Op
-	for {
-		op, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, op)
-	}
-	if len(got) != 10 {
-		t.Fatalf("drained %d ops", len(got))
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("Next after exhaustion returned ok")
-	}
-	src.Reset()
-	if op, ok := src.Next(); !ok || op != ops[0] {
-		t.Error("Reset did not rewind")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Load.String() != "ld" || Store.String() != "st" || Fence.String() != "fence" {
 		t.Error("kind mnemonics wrong")
-	}
-}
-
-func BenchmarkWriterThroughput(b *testing.B) {
-	ops := randomOps(1, 1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := NewWriter(io.Discard)
-		for _, op := range ops {
-			_ = w.Write(op)
-		}
-		_ = w.Flush()
-	}
-}
-
-func BenchmarkReaderThroughput(b *testing.B) {
-	ops := randomOps(1, 1000)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, op := range ops {
-		_ = w.Write(op)
-	}
-	_ = w.Flush()
-	raw := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(raw))
-		if _, err := r.ReadAll(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

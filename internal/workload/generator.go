@@ -15,7 +15,7 @@ const (
 )
 
 // Generator produces the deterministic op stream for one profile. It
-// implements trace.Source.
+// implements trace.BatchSource.
 type Generator struct {
 	p Profile
 	r *xrand.Rand
@@ -100,14 +100,6 @@ func (g *Generator) gapFor() uint32 {
 	return uint32(lo + g.r.Float64()*mean)
 }
 
-// Next implements trace.Source.
-func (g *Generator) Next() (trace.Op, bool) {
-	if g.limit > 0 && g.emitted >= g.limit {
-		return trace.Op{}, false
-	}
-	return g.next(), true
-}
-
 // next emits one op unconditionally (the caller has checked the limit).
 func (g *Generator) next() trace.Op {
 	g.emitted++
@@ -126,8 +118,9 @@ func (g *Generator) next() trace.Op {
 }
 
 // NextBatch implements trace.BatchSource: it fills b's columns directly
-// from the generator state machine, emitting exactly the stream Next
-// would, with no per-op interface dispatch on the replay side.
+// from the generator state machine, with no per-op interface dispatch
+// on the replay side. Batch boundaries never change the stream: any
+// capacity yields the ops Generate returns.
 func (g *Generator) NextBatch(b *trace.Batch) bool {
 	b.Reset()
 	for !b.Full() {
@@ -207,19 +200,17 @@ func (g *Generator) nextLoad() trace.Op {
 	}
 }
 
-// Generate materializes n ops into a slice (convenience for tests and
-// small experiments; large runs should stream via Next).
+// Generate materializes the first n ops of the stream into a slice
+// (for tests, crash injection and small experiments; large runs should
+// stream via NextBatch).
 func Generate(p Profile, seed uint64, n int) ([]trace.Op, error) {
 	g, err := NewGenerator(p, seed, uint64(n))
 	if err != nil {
 		return nil, err
 	}
-	ops := make([]trace.Op, 0, n)
-	for {
-		op, ok := g.Next()
-		if !ok {
-			return ops, nil
-		}
-		ops = append(ops, op)
+	ops := make([]trace.Op, n)
+	for i := range ops {
+		ops[i] = g.next()
 	}
+	return ops, nil
 }

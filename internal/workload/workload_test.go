@@ -215,22 +215,42 @@ func TestHotPatternRevisits(t *testing.T) {
 	}
 }
 
+// batchCaps are the batch capacities the NextBatch tests drain at: one
+// op, an odd prime, an engine-sized and the default replay batch.
+var batchCaps = []int{1, 7, 256, trace.DefaultBatchCap}
+
+// drainBatches reads every op of g through NextBatch at capacity
+// capacity, failing if a batch is empty or overfilled.
+func drainBatches(t *testing.T, g *Generator, capacity int) []trace.Op {
+	t.Helper()
+	b := trace.NewBatch(capacity)
+	var ops []trace.Op
+	for g.NextBatch(b) {
+		if b.Len() == 0 || b.Len() > capacity {
+			t.Fatalf("batch of %d ops at capacity %d", b.Len(), capacity)
+		}
+		for i := 0; i < b.Len(); i++ {
+			ops = append(ops, b.Op(i))
+		}
+	}
+	if g.NextBatch(b) {
+		t.Fatal("NextBatch yielded ops after the end of the stream")
+	}
+	return ops
+}
+
 func TestGeneratorLimit(t *testing.T) {
 	p, _ := ByName("namd")
-	g, err := NewGenerator(p, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok := g.Next()
-		if !ok {
-			break
+	for _, limit := range []uint64{1, 10, 4097} {
+		for _, c := range batchCaps {
+			g, err := NewGenerator(p, 1, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(drainBatches(t, g, c)); uint64(n) != limit {
+				t.Errorf("limit %d at capacity %d produced %d ops", limit, c, n)
+			}
 		}
-		n++
-	}
-	if n != 10 {
-		t.Errorf("limit 10 produced %d ops", n)
 	}
 }
 
@@ -250,53 +270,47 @@ func TestPatternString(t *testing.T) {
 func BenchmarkGenerate(b *testing.B) {
 	p, _ := ByName("gcc")
 	b.ReportAllocs()
+	batch := trace.NewBatch(trace.DefaultBatchCap)
 	for i := 0; i < b.N; i++ {
-		g, _ := NewGenerator(p, 1, 0)
-		for j := 0; j < 10000; j++ {
-			g.Next()
+		g, _ := NewGenerator(p, 1, 10000)
+		for g.NextBatch(batch) {
 		}
 	}
 }
 
+// TestNextBatchMatchesScalarStream: NextBatch yields exactly Generate's
+// op stream at every batch capacity, including capacities that do not
+// divide the op limit, so batch edges fall at different ops.
 func TestNextBatchMatchesScalarStream(t *testing.T) {
 	for _, name := range []string{"povray", "gamess", "mcf"} {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const n = 10000
-		scalar, err := NewGenerator(p, 42, n)
+		requireBatchesMatchGenerate(t, p, 10000)
+	}
+}
+
+// requireBatchesMatchGenerate drains p's first n ops through NextBatch
+// at every capacity in batchCaps and compares them with Generate's.
+func requireBatchesMatchGenerate(t *testing.T, p Profile, n int) {
+	t.Helper()
+	want, err := Generate(p, 42, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range batchCaps {
+		g, err := NewGenerator(p, 42, uint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := NewGenerator(p, 42, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := trace.NewBatch(257) // odd capacity so batch edges shift around
-		var got []trace.Op
-		for batched.NextBatch(b) {
-			if b.Len() > 257 {
-				t.Fatalf("batch overfilled: %d", b.Len())
-			}
-			for i := 0; i < b.Len(); i++ {
-				got = append(got, b.Op(i))
-			}
-		}
-		var want []trace.Op
-		for {
-			op, ok := scalar.Next()
-			if !ok {
-				break
-			}
-			want = append(want, op)
-		}
+		got := drainBatches(t, g, c)
 		if len(got) != len(want) {
-			t.Fatalf("%s: batched stream has %d ops, scalar %d", name, len(got), len(want))
+			t.Fatalf("%s at capacity %d: %d ops, Generate %d", p.Name, c, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s: op %d differs: batched %+v, scalar %+v", name, i, got[i], want[i])
+				t.Fatalf("%s at capacity %d: op %d differs: batched %+v, Generate %+v", p.Name, c, i, got[i], want[i])
 			}
 		}
 	}

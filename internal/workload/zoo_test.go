@@ -325,63 +325,22 @@ func mustByName(t *testing.T, name string) Profile {
 	return p
 }
 
-// TestZooNextBatchMatchesScalar: the batched path emits the identical
-// stream for zoo state machines too.
+// TestZooNextBatchMatchesScalar: the batched path emits Generate's
+// stream for zoo state machines too, at every batch capacity.
 func TestZooNextBatchMatchesScalar(t *testing.T) {
 	for _, name := range ZooNames() {
-		p := mustByName(t, name)
-		const n = 8000
-		scalar, err := NewGenerator(p, 42, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, _ := NewGenerator(p, 42, n)
-		b := trace.NewBatch(257)
-		var got []trace.Op
-		for batched.NextBatch(b) {
-			for i := 0; i < b.Len(); i++ {
-				got = append(got, b.Op(i))
-			}
-		}
-		var want []trace.Op
-		for {
-			op, ok := scalar.Next()
-			if !ok {
-				break
-			}
-			want = append(want, op)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: batched %d ops, scalar %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: op %d differs", name, i)
-			}
-		}
+		requireBatchesMatchGenerate(t, mustByName(t, name), 8000)
 	}
 }
 
-// TestZooCompression is the acceptance gate: across the zoo, SPB2
-// encodes the trace bytes at least 2x smaller than SPB1, with op-exact
-// decode; no single zoo trace regresses below 1.4x.
+// TestZooCompression: every zoo trace round-trips SPB2 op-exactly and
+// takes at most 6 bytes per op, where an op's fields take 22.
 func TestZooCompression(t *testing.T) {
 	const nops = 40000
-	var total1, total2 int
 	for _, p := range ZooProfiles() {
 		ops, err := Generate(p, 13, nops)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
-		}
-		var b1 bytes.Buffer
-		w1 := trace.NewWriter(&b1)
-		for _, op := range ops {
-			if err := w1.Write(op); err != nil {
-				t.Fatalf("%s: SPB1 write: %v", p.Name, err)
-			}
-		}
-		if err := w1.Flush(); err != nil {
-			t.Fatal(err)
 		}
 		var b2 bytes.Buffer
 		w2 := trace.NewSegWriter(&b2, 0)
@@ -406,16 +365,10 @@ func TestZooCompression(t *testing.T) {
 				t.Fatalf("%s: op %d decode mismatch", p.Name, i)
 			}
 		}
-		ratio := float64(b1.Len()) / float64(b2.Len())
-		t.Logf("%s: SPB1 %d B, SPB2 %d B, ratio %.2fx", p.Name, b1.Len(), b2.Len(), ratio)
-		if ratio < 1.4 {
-			t.Errorf("%s: SPB2 only %.2fx smaller than SPB1", p.Name, ratio)
+		perOp := float64(b2.Len()) / nops
+		t.Logf("%s: SPB2 %d B (%.2f B/op)", p.Name, b2.Len(), perOp)
+		if perOp > 6 {
+			t.Errorf("%s: SPB2 takes %.2f B/op, want <= 6", p.Name, perOp)
 		}
-		total1 += b1.Len()
-		total2 += b2.Len()
-	}
-	if ratio := float64(total1) / float64(total2); ratio < 2.0 {
-		t.Errorf("zoo aggregate: SPB2 only %.2fx smaller than SPB1 (%d vs %d bytes), want >= 2x",
-			ratio, total2, total1)
 	}
 }

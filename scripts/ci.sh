@@ -26,8 +26,9 @@ go test -race ./...
 # crash-point recovery (the controller reboots in place, so RecoverVerify
 # allocates under 8 KiB per point), of a whole crash cell on a recycled
 # rig (engine, stores and recovery state reset in place, so a warm cell
-# allocates under 128 KiB), of RunBatch (one batch buffer per call) and
-# of the cache hierarchy's footprint (one word per modeled line). These
+# allocates under 128 KiB), of RunBatch (zero allocations per warm call:
+# the engine keeps one batch buffer across calls) and of the cache
+# hierarchy's footprint (one word per modeled line). These
 # carry a !race build tag — race instrumentation allocates on its own —
 # so they need this uninstrumented pass to run at all.
 go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|CrashCellSteadyStateAlloc|RunBatchSteadyStateAlloc|CacheFootprint' . \
@@ -166,30 +167,24 @@ go build -o "$tmp/secpb-heal" ./cmd/secpb-heal
 "$tmp/secpb-heal" -schemes all -bench gcc -ops 1500 -faultrate 0.05 -budget 3 \
     -seed 42 -out "$tmp/heal-matrix.json"
 
-# SPB2 trace-format gate: gen -> convert -> dump must round-trip the
-# ops exactly between the flat SPB1 and segmented-columnar SPB2
-# encodings, and SPB2 must earn its keep (>=2x smaller) on a zoo trace.
+# SPB2 trace-format gate: the encoder's bytes for a fixed zoo trace must
+# match the committed digest, and gen -> dump -> asm must reproduce them
+# exactly, so neither the writer nor the text codec can drift unnoticed.
 go build -o "$tmp/secpb-trace" ./cmd/secpb-trace
-"$tmp/secpb-trace" gen -bench kvheavy -ops 40000 -seed 13 -format spb1 -o "$tmp/kv.spb"
-"$tmp/secpb-trace" gen -bench kvheavy -ops 40000 -seed 13 -format spb2 -o "$tmp/kv.spb2"
-"$tmp/secpb-trace" convert -i "$tmp/kv.spb" -o "$tmp/kv_conv.spb2"
-if ! diff -q "$tmp/kv.spb2" "$tmp/kv_conv.spb2"; then
-    echo "ERROR: convert(spb1) differs from direct spb2 generation" >&2
+"$tmp/secpb-trace" gen -bench kvheavy -ops 40000 -seed 13 -o "$tmp/kv.spb2"
+want_sum=$(cut -d' ' -f1 results/kvheavy-ops40000-seed13.spb2.sha256)
+got_sum=$(sha256sum < "$tmp/kv.spb2" | cut -d' ' -f1)
+if [ "$got_sum" != "$want_sum" ]; then
+    echo "ERROR: kvheavy SPB2 trace digest $got_sum differs from results/kvheavy-ops40000-seed13.spb2.sha256" >&2
     exit 1
 fi
-"$tmp/secpb-trace" dump -i "$tmp/kv.spb" > "$tmp/kv1.txt"
-"$tmp/secpb-trace" dump -i "$tmp/kv.spb2" > "$tmp/kv2.txt"
-if ! diff -q "$tmp/kv1.txt" "$tmp/kv2.txt"; then
-    echo "ERROR: SPB1 and SPB2 dumps of the same trace differ" >&2
+"$tmp/secpb-trace" dump -i "$tmp/kv.spb2" > "$tmp/kv.txt"
+"$tmp/secpb-trace" asm -i "$tmp/kv.txt" -o "$tmp/kv_asm.spb2"
+if ! cmp -s "$tmp/kv.spb2" "$tmp/kv_asm.spb2"; then
+    echo "ERROR: gen -> dump -> asm does not reproduce the SPB2 bytes" >&2
     exit 1
 fi
-spb1_size=$(wc -c < "$tmp/kv.spb")
-spb2_size=$(wc -c < "$tmp/kv.spb2")
-if [ $((spb2_size * 2)) -gt "$spb1_size" ]; then
-    echo "ERROR: SPB2 ($spb2_size B) is not >=2x smaller than SPB1 ($spb1_size B)" >&2
-    exit 1
-fi
-echo "SPB2 round-trips exactly and is >=2x smaller than SPB1 ($spb1_size -> $spb2_size bytes)"
+echo "SPB2 trace matches its committed digest and round-trips gen -> dump -> asm byte for byte"
 
 # Zoo replay-identity gate: the zoo artifact must be byte-identical
 # between live generation and SPB2 replay of recorded traces, across
