@@ -228,8 +228,9 @@ func BenchmarkOTPGen(b *testing.B) {
 	_ = sink
 }
 
-// Hash-layer micro-benchmarks: the keyed-midstate fast path against the
-// hand-rolled reference, and per-walk vs batched BMT update cost.
+// Hash-layer micro-benchmarks: the keyed-midstate MAC and node hash, and
+// per-walk vs batched BMT update cost. The hand-rolled references'
+// benchmarks live in internal/crypto's tests, beside the references.
 
 func benchCryptoEngine(b *testing.B) *crypto.Engine {
 	b.Helper()
@@ -256,22 +257,6 @@ func BenchmarkMAC(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkMACReference measures the same MAC on the hand-rolled
-// reference implementation (the pre-overhaul cost).
-func BenchmarkMACReference(b *testing.B) {
-	e := benchCryptoEngine(b)
-	var ct [crypto.CacheLineSize]byte
-	b.SetBytes(crypto.CacheLineSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink byte
-	for i := 0; i < b.N; i++ {
-		tag := e.MACReference(&ct, uint64(i)<<6, uint64(i))
-		sink ^= tag[0]
-	}
-	_ = sink
-}
-
 // BenchmarkHashNode measures one BMT interior-node hash (64 bytes of
 // child digests) on the fast path.
 func BenchmarkHashNode(b *testing.B) {
@@ -283,22 +268,6 @@ func BenchmarkHashNode(b *testing.B) {
 	var sink byte
 	for i := 0; i < b.N; i++ {
 		h := e.HashNode(children)
-		sink ^= h[0]
-	}
-	_ = sink
-}
-
-// BenchmarkHashNodeReference measures the same node hash on the
-// hand-rolled reference implementation.
-func BenchmarkHashNodeReference(b *testing.B) {
-	e := benchCryptoEngine(b)
-	children := make([]byte, 64)
-	b.SetBytes(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink byte
-	for i := 0; i < b.N; i++ {
-		h := e.HashNodeReference(children)
 		sink ^= h[0]
 	}
 	_ = sink

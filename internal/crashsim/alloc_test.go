@@ -6,6 +6,7 @@
 package crashsim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -127,6 +128,66 @@ func TestRecoverVerifySteadyStateAlloc(t *testing.T) {
 			perPoint := inside / uint64(points-1)
 			t.Logf("%s: %d B allocated per RecoverVerify over %d points", wl, perPoint, points-1)
 			if perPoint >= budget {
+				t.Errorf("%d B allocated per RecoverVerify at steady state, want < %d", perPoint, budget)
+			}
+		})
+	}
+}
+
+// TestSystemRecoverVerifySteadyStateAlloc is TestRecoverVerifySteadyStateAlloc
+// for a whole socket: each shard of a SystemSnapshot is a Snapshot whose
+// controller reboots in place, so after a cell's first crash point the
+// bytes allocated inside SystemSnapshot.RecoverVerify must stay under
+// 32 KiB per point per core. What remains is mostly the entry copies of
+// the cross-core drain journals (recovery.DrainSystemEntries) and the
+// table pages a drain is first to touch: about 14 KB at 1 core, 38 KB at
+// 2 and 89 KB at 4. Restoring fresh controllers per shard per point
+// allocates 0.4, 0.9 and 1.5 MB.
+func TestSystemRecoverVerifySteadyStateAlloc(t *testing.T) {
+	const budgetPerCore = 32 << 10
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			cfg := config.Default().WithScheme(config.SchemeCOBCM).WithCores(cores)
+			cfg.Seed = 41
+			perCore, err := SystemTrace(cfg, prof, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			var inside uint64
+			points := 0
+			_, err = InjectSystemTraceWith(cfg, prof, []byte("recover-alloc-key"), perCore,
+				TraceOptions{Points: 60, Seed: 7},
+				func(snap *SystemSnapshot, golden *SystemGolden) error {
+					runtime.ReadMemStats(&ms)
+					before := ms.TotalAlloc
+					res, err := snap.RecoverVerify(golden)
+					runtime.ReadMemStats(&ms)
+					if points > 0 {
+						inside += ms.TotalAlloc - before
+					}
+					points++
+					if err != nil {
+						return err
+					}
+					if res.Failures > 0 {
+						t.Errorf("point %d: %s", snap.PointIndex, res.FirstBad)
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if points < 10 {
+				t.Fatalf("only %d crash points injected", points)
+			}
+			perPoint := inside / uint64(points-1)
+			t.Logf("cores=%d: %d B allocated per RecoverVerify over %d points", cores, perPoint, points-1)
+			if budget := uint64(budgetPerCore * cores); perPoint >= budget {
 				t.Errorf("%d B allocated per RecoverVerify at steady state, want < %d", perPoint, budget)
 			}
 		})

@@ -4,12 +4,12 @@
 // at every crash-relevant micro-op boundary (store acceptance, SecPB
 // entry allocation, WPQ flush, counter persist, BMT sweep). At chosen
 // hook firings the simulated machine "loses power": the persisted NV
-// image and the battery-backed SecPB/WPQ state are deep-copied, the
-// scheme's post-crash late work is run on the copy, and the recovered
-// memory tuple (ciphertext, counter, MAC, BMT root) is verified byte for
-// byte against a shadow golden model that replays exactly the
-// committed-store prefix of the trace. Crash points can be sampled
-// (seeded, without replacement) for large traces or enumerated
+// image and the battery-backed SecPB/WPQ state are copied into recycled
+// stores, the scheme's post-crash late work is run on the copy, and the
+// recovered memory tuple (ciphertext, counter, MAC, BMT root) is
+// verified byte for byte against a shadow golden model that replays
+// exactly the committed-store prefix of the trace. Crash points can be
+// sampled (seeded, without replacement) for large traces or enumerated
 // exhaustively for small ones, and cells of the scheme × workload grid
 // fan out over a worker pool.
 package crashsim
@@ -196,31 +196,10 @@ func InjectTraceWith(cfg config.Config, prof workload.Profile, key []byte, ops [
 // inject is InjectTraceWith on the rig r.
 func (r *rig) inject(cfg config.Config, prof workload.Profile, key []byte, ops []trace.Op, topt TraceOptions, h Handler) (CellResult, error) {
 	cell := CellResult{Scheme: cfg.Scheme.String(), Workload: prof.Name, Ops: len(ops), Seed: cfg.Seed}
-	count, err := newInjector(r, cfg, prof, key, ops, nil, nil)
-	if err != nil {
-		return cell, err
-	}
-	count.setKinds(topt.Kinds)
-	if err := count.Run(); err != nil {
-		return cell, err
-	}
-	total, perKind := count.Points()
-	cell.TotalPoints = total
-	cell.ByKind = make(map[string]uint64, crashpoint.NumKinds())
-	for _, k := range crashpoint.Kinds() {
-		if n := perKind[k]; n > 0 {
-			cell.ByKind[k.String()] = n
-		}
-	}
-	if total == 0 {
-		return cell, fmt.Errorf("crashsim: %s/%s fired no crash points", cfg.Scheme, prof.Name)
-	}
-
-	triggers := chooseTriggers(total, topt.Points, topt.Seed)
 	if err := r.snap.rec.reset(cfg, key); err != nil {
 		return cell, err
 	}
-	inj, err := newInjector(r, cfg, prof, key, ops, triggers, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
+	handle := func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {
 		cell.Injected++
 		if h != nil {
 			return h(snap, golden)
@@ -239,15 +218,54 @@ func (r *rig) inject(cfg config.Config, prof workload.Profile, key []byte, ops [
 			}
 		}
 		return nil
-	})
+	}
+	var err error
+	cell.TotalPoints, cell.ByKind, err = twoPass(topt, fmt.Sprintf("%s/%s", cfg.Scheme, prof.Name),
+		func(triggers []uint64) (crashRun, error) {
+			return newInjector(r, cfg, prof, key, ops, triggers, handle)
+		})
+	return cell, err
+}
+
+// crashRun is one pass of a crash cell: an Injector or a systemInjector.
+type crashRun interface {
+	setKinds(kinds []crashpoint.Kind)
+	Run() error
+	Points() (total uint64, perKind []uint64)
+}
+
+// twoPass drives a crash cell's two passes, each on a run newRun builds
+// over the given triggers and restricts to topt.Kinds. The first pass
+// has no triggers and counts the run's points, which it returns in
+// total and, per kind, in byKind; the second crashes at triggers
+// sampled from that count, which it fires again because the simulator
+// is deterministic. name labels the cell in the error for a run that
+// fires no points.
+func twoPass(topt TraceOptions, name string, newRun func(triggers []uint64) (crashRun, error)) (total uint64, byKind map[string]uint64, err error) {
+	run := func(triggers []uint64) (crashRun, error) {
+		in, err := newRun(triggers)
+		if err != nil {
+			return nil, err
+		}
+		in.setKinds(topt.Kinds)
+		return in, in.Run()
+	}
+	count, err := run(nil)
 	if err != nil {
-		return cell, err
+		return 0, nil, err
 	}
-	inj.setKinds(topt.Kinds)
-	if err := inj.Run(); err != nil {
-		return cell, err
+	total, perKind := count.Points()
+	byKind = make(map[string]uint64, crashpoint.NumKinds())
+	for _, k := range crashpoint.Kinds() {
+		if n := perKind[k]; n > 0 {
+			byKind[k.String()] = n
+		}
 	}
-	return cell, nil
+	if total == 0 {
+		return total, byKind, fmt.Errorf("crashsim: %s fired no crash points", name)
+	}
+	_, err = run(chooseTriggers(total, topt.Points, topt.Seed))
+	return total, byKind, err
 }
 
 // RunCell explores one scheme × workload cell of the matrix grid with a

@@ -48,16 +48,20 @@ func (s *shadow) reset(ops []trace.Op) {
 // within one run), so this is an incremental catch-up, not a rebuild.
 func (s *shadow) advanceTo(committed int) {
 	for s.applied < committed && s.applied < len(s.storeIdx) {
-		op := s.ops[s.storeIdx[s.applied]]
-		block := addr.BlockOf(op.Addr)
-		blk := s.mem[block]
-		off := int(op.Addr - block.Addr())
-		for i := 0; i < int(op.Size); i++ {
-			blk[off+i] = byte(op.Data >> (8 * i))
-		}
-		s.mem[block] = blk
+		applyStore(s.mem, s.ops[s.storeIdx[s.applied]])
 		s.applied++
 	}
+}
+
+// applyStore writes a store's data into its block of mem.
+func applyStore(mem map[addr.Block][addr.BlockBytes]byte, op trace.Op) {
+	block := addr.BlockOf(op.Addr)
+	blk := mem[block]
+	off := int(op.Addr - block.Addr())
+	for i := 0; i < int(op.Size); i++ {
+		blk[off+i] = byte(op.Data >> (8 * i))
+	}
+	mem[block] = blk
 }
 
 // view returns the shadow's plaintext image. The map is live — callers

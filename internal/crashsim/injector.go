@@ -65,28 +65,20 @@ type Handler func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) e
 // (the late work a recovery must fund).
 func (s *Snapshot) NumEntries() int { return len(s.entries) }
 
-// Injector drives one simulated run and crashes it at chosen points. It
-// implements crashpoint.Sink: every hook firing is counted, and firings
-// whose ordinal matches the sorted trigger list are captured, recovered
-// and verified in place. Capturing in place (rather than halting and
-// replaying) is equivalent to a real crash — recovery operates on deep
-// clones of exactly the state a power failure would leave — and lets one
-// pass service thousands of crash points with one snapshot alive, whose
-// stores every capture after the first reuses.
+// Injector drives one simulated run and crashes it at chosen points.
+// Its pointSink counts every hook firing, and the firings whose ordinal
+// matches the sorted trigger list are captured, recovered and verified
+// in place. Capturing in place (rather than halting and replaying) is
+// equivalent to a real crash — recovery operates on copies of exactly
+// the state a power failure would leave — and lets one pass service
+// thousands of crash points with one snapshot alive, whose stores every
+// capture after the first reuses.
 type Injector struct {
-	eng      *engine.Engine
-	cfg      config.Config
-	key      []byte
-	src      *trace.SliceBatchSource
-	shadow   *shadow
-	triggers []uint64 // sorted ascending, distinct
-	cursor   int
-	handle   Handler
-	mask     []bool // per-kind enable; points of masked-out kinds are not counted
-
-	points  uint64
-	perKind []uint64 // indexed by crashpoint.Kind
-	err     error
+	pointSink
+	eng    *engine.Engine
+	src    *trace.SliceBatchSource
+	shadow *shadow
+	handle Handler
 	// snap is the rig's snapshot, handed to the handler and recaptured
 	// in place at every trigger.
 	snap *Snapshot
@@ -131,90 +123,117 @@ func newInjector(r *rig, cfg config.Config, prof workload.Profile, key []byte, o
 		r.ops.Append(op)
 	}
 	r.shadow.reset(ops)
+	r.snap.cfg, r.snap.key = cfg, append([]byte(nil), key...)
+	in := &Injector{eng: r.eng, src: trace.NewBatchCursor(&r.ops), shadow: &r.shadow, handle: h, snap: r.snap}
+	in.pointSink = newPointSink(triggers, in.crash)
+	return in, nil
+}
+
+// pointSink is the crash-point bookkeeping both injectors embed. It
+// implements crashpoint.Sink: every firing of an enabled kind is
+// counted, and a firing whose ordinal matches the next sorted trigger
+// is handed to crash, which captures, recovers and verifies in place.
+type pointSink struct {
+	mask     []bool   // per-kind enable; points of masked-out kinds are not counted
+	triggers []uint64 // sorted ascending, distinct
+	cursor   int
+	points   uint64
+	perKind  []uint64 // indexed by crashpoint.Kind
+	err      error
+	crash    func(k crashpoint.Kind, i uint64) error
+}
+
+func newPointSink(triggers []uint64, crash func(crashpoint.Kind, uint64) error) pointSink {
 	mask := make([]bool, crashpoint.NumKinds())
 	for i := range mask {
 		mask[i] = true
 	}
-	return &Injector{
-		eng:      r.eng,
-		cfg:      cfg,
-		key:      append([]byte(nil), key...),
-		src:      trace.NewBatchCursor(&r.ops),
-		shadow:   &r.shadow,
-		triggers: triggers,
-		handle:   h,
-		mask:     mask,
-		perKind:  make([]uint64, crashpoint.NumKinds()),
-		snap:     r.snap,
-	}, nil
+	return pointSink{mask: mask, triggers: triggers, perKind: make([]uint64, crashpoint.NumKinds()), crash: crash}
 }
 
-// setKinds restricts the injector to the given crash-point kinds; other
+// setKinds restricts the sink to the given crash-point kinds; other
 // firings are invisible (not counted, never triggered). Empty = all.
-func (in *Injector) setKinds(kinds []crashpoint.Kind) {
+func (p *pointSink) setKinds(kinds []crashpoint.Kind) {
 	if len(kinds) == 0 {
 		return
 	}
-	for i := range in.mask {
-		in.mask[i] = false
+	for i := range p.mask {
+		p.mask[i] = false
 	}
 	for _, k := range kinds {
-		in.mask[k] = true
+		p.mask[k] = true
 	}
 }
 
 // CrashPoint implements crashpoint.Sink.
-func (in *Injector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
-	if !in.mask[k] {
+func (p *pointSink) CrashPoint(k crashpoint.Kind, _ addr.Block) {
+	if !p.mask[k] {
 		return
 	}
-	i := in.points
-	in.points++
-	in.perKind[k]++
-	if in.err != nil || in.cursor >= len(in.triggers) || in.triggers[in.cursor] != i {
+	i := p.points
+	p.points++
+	p.perKind[k]++
+	if p.err != nil || p.cursor >= len(p.triggers) || p.triggers[p.cursor] != i {
 		return
 	}
-	in.cursor++
-	snap := in.capture(k, i)
-	if in.handle != nil {
-		if err := in.handle(snap, in.shadow.view()); err != nil {
-			in.err = err // first harness error wins; later triggers are skipped
-		}
+	p.cursor++
+	p.err = p.crash(k, i) // first harness error wins; later triggers are skipped
+}
+
+// done is the end of a run: the first harness error crash returned, or
+// an error if some trigger never matched a fired point.
+func (p *pointSink) done() error {
+	if p.err != nil {
+		return p.err
+	}
+	if p.cursor != len(p.triggers) {
+		return fmt.Errorf("crashsim: run fired %d points but %d of %d triggers never matched (nondeterministic point stream?)",
+			p.points, len(p.triggers)-p.cursor, len(p.triggers))
+	}
+	return nil
+}
+
+// Points returns the total number of crash points the run fired and the
+// per-kind breakdown (indexed by crashpoint.Kind).
+func (p *pointSink) Points() (total uint64, perKind []uint64) {
+	return p.points, p.perKind
+}
+
+// capture copies the crash-surviving state of one memory-channel shard
+// into s's recycled stores: mc's persisted NV image and, unless spb is
+// nil, spb's battery-backed entries, accepted-store count and
+// interrupted drain. The committed-store count is the SecPB's
+// accepted-store stat: acceptance is the point of persistency, and the
+// stat is bumped only after the entry's data is in battery-backed
+// storage, so it is exact at every hook site regardless of which
+// micro-op (backflow drain, watermark drain, sweep) the point
+// interrupts. The previous capture's stores and entry slice, however
+// its handler left them, are the copy destinations.
+func (s *Snapshot) capture(k crashpoint.Kind, i uint64, mc *nvm.Controller, spb *core.SecPB) {
+	s.Kind, s.PointIndex = k, i
+	s.pm = mc.PM().SnapshotInto(s.pm)
+	s.ctrs = mc.Counters().SnapshotInto(s.ctrs)
+	s.macs = mc.MACs().SnapshotInto(s.macs)
+	s.tree = mc.Tree().SnapshotInto(s.tree)
+	s.entries = s.entries[:0]
+	s.Committed, s.InFlight = 0, false
+	if spb != nil {
+		stores, _ := spb.Stats()
+		s.Committed = int(stores)
+		s.InFlight = spb.InFlightDrain() != nil
+		s.entries = spb.AppendEntries(s.entries)
 	}
 }
 
-// capture freezes the crash-surviving state at the instant the hook
-// fired. The committed-store count is the SecPB's accepted-store stat:
-// acceptance is the point of persistency, and the stat is bumped only
-// after the entry's data is in battery-backed storage, so it is exact at
-// every hook site regardless of which micro-op (backflow drain,
-// watermark drain, sweep) the point interrupts. The previous capture's
-// stores and entry slice, however its handler left them, are the copy
-// destinations.
-func (in *Injector) capture(k crashpoint.Kind, i uint64) *Snapshot {
-	spb := in.eng.SecPB()
-	mc := in.eng.Controller()
-	stores, _ := spb.Stats()
-	committed := int(stores)
-	in.shadow.advanceTo(committed)
+// crash freezes the engine's crash-surviving state at the instant the
+// hook fired and hands it to the handler with the golden image of its
+// committed prefix.
+func (in *Injector) crash(k crashpoint.Kind, i uint64) error {
 	snap := in.snap
-	*snap = Snapshot{
-		Kind:       k,
-		PointIndex: i,
-		OpIndex:    in.eng.OpIndex(),
-		Cycle:      in.eng.Now(),
-		Committed:  committed,
-		InFlight:   spb.InFlightDrain() != nil,
-		cfg:        in.cfg,
-		key:        in.key,
-		pm:         mc.PM().SnapshotInto(snap.pm),
-		ctrs:       mc.Counters().SnapshotInto(snap.ctrs),
-		macs:       mc.MACs().SnapshotInto(snap.macs),
-		tree:       mc.Tree().SnapshotInto(snap.tree),
-		entries:    spb.AppendEntries(snap.entries[:0]),
-		rec:        snap.rec,
-	}
-	return snap
+	snap.capture(k, i, in.eng.Controller(), in.eng.SecPB())
+	snap.OpIndex, snap.Cycle = in.eng.OpIndex(), in.eng.Now()
+	in.shadow.advanceTo(snap.Committed)
+	return in.handle(snap, in.shadow.view())
 }
 
 // Run executes the trace to completion, firing the sink at every
@@ -227,18 +246,5 @@ func (in *Injector) Run() error {
 	if err := in.eng.RunBatch(in.src); err != nil {
 		return fmt.Errorf("crashsim: engine run: %w", err)
 	}
-	if in.err != nil {
-		return in.err
-	}
-	if in.cursor != len(in.triggers) {
-		return fmt.Errorf("crashsim: run fired %d points but %d of %d triggers never matched (nondeterministic point stream?)",
-			in.points, len(in.triggers)-in.cursor, len(in.triggers))
-	}
-	return nil
-}
-
-// Points returns the total number of crash points the run fired and the
-// per-kind breakdown (indexed by crashpoint.Kind).
-func (in *Injector) Points() (total uint64, perKind []uint64) {
-	return in.points, in.perKind
+	return in.done()
 }

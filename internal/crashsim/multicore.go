@@ -5,46 +5,24 @@ import (
 	"sort"
 
 	"secpb/internal/addr"
-	"secpb/internal/bmt"
 	"secpb/internal/config"
 	"secpb/internal/core"
 	"secpb/internal/crashpoint"
 	"secpb/internal/engine"
-	"secpb/internal/meta"
-	"secpb/internal/nvm"
 	"secpb/internal/recovery"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
 	"secpb/internal/xrand"
 )
 
-// shardState is one memory-channel shard's crash image: the persisted
-// NV stores plus the battery-backed SecPB entries that drain into it.
-type shardState struct {
-	cfg     config.Config
-	pm      *nvm.PM
-	ctrs    *meta.CounterStore
-	macs    *meta.MACStore
-	tree    *bmt.Tree
-	entries []core.Entry
-}
-
-func captureShard(cfg config.Config, mc *nvm.Controller, entries []core.Entry) shardState {
-	return shardState{
-		cfg:     cfg,
-		pm:      mc.PM().Snapshot(),
-		ctrs:    mc.Counters().Snapshot(),
-		macs:    mc.MACs().Snapshot(),
-		tree:    mc.Tree().Snapshot(),
-		entries: entries,
-	}
-}
-
 // SystemSnapshot is everything that survives a power failure of an
 // N-core socket: each core's private memory-channel shard with its
 // SecPB entries, the shared coherent region's shard, and each core's
-// shared-region SecPB entries. The committed-store counts (the
-// acceptance stats at the instant of the crash) gate the golden model.
+// shared-region SecPB entries. Each shard is a Snapshot, captured and
+// rebooted exactly as a single-core one, and like one the whole
+// SystemSnapshot is recycled into the next capture once the handler
+// that receives it returns. The committed-store counts (the acceptance
+// stats at the instant of the crash) gate the golden model.
 type SystemSnapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64
@@ -55,49 +33,20 @@ type SystemSnapshot struct {
 	Committed       []int
 	SharedCommitted []int
 
-	key           []byte
-	priv          []shardState
-	shared        shardState
-	sharedEntries [][]core.Entry // per core, FIFO order
+	priv          []*Snapshot            // per core: private shard and SecPB entries
+	shared        *Snapshot              // the shared region's NV image; no entries
+	sharedEntries [][]core.Entry         // per core, FIFO order
+	parts         []recovery.CoreEntries // recovery's part list, recycled
 }
 
 // NumEntries returns the total battery-backed entries across all
 // buffers — the late work a whole-socket recovery must fund.
 func (s *SystemSnapshot) NumEntries() int {
-	n := len(s.shared.entries)
-	for _, p := range s.priv {
-		n += len(p.entries)
-	}
-	for _, e := range s.sharedEntries {
-		n += len(e)
+	n := 0
+	for c, p := range s.priv {
+		n += p.NumEntries() + len(s.sharedEntries[c])
 	}
 	return n
-}
-
-// parts assembles the canonical cross-core drain order over freshly
-// restored controllers: ascending core id over the private shards, then
-// ascending core id over the shared-region buffers (all draining into
-// one restored shared controller). It returns the parts plus the
-// restored controllers for verification.
-func (s *SystemSnapshot) parts() ([]recovery.CoreEntries, []*nvm.Controller, *nvm.Controller, error) {
-	var parts []recovery.CoreEntries
-	var privMCs []*nvm.Controller
-	for c, sh := range s.priv {
-		mc, err := nvm.Restore(sh.cfg, s.key, sh.pm, sh.ctrs, sh.macs, sh.tree)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("crashsim: restore core %d shard: %w", c, err)
-		}
-		privMCs = append(privMCs, mc)
-		parts = append(parts, recovery.CoreEntries{Core: c, MC: mc, Entries: sh.entries})
-	}
-	sharedMC, err := nvm.Restore(s.shared.cfg, s.key, s.shared.pm, s.shared.ctrs, s.shared.macs, s.shared.tree)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("crashsim: restore shared shard: %w", err)
-	}
-	for c, entries := range s.sharedEntries {
-		parts = append(parts, recovery.CoreEntries{Core: c, MC: sharedMC, Entries: entries})
-	}
-	return parts, privMCs, sharedMC, nil
 }
 
 // RecoverVerify replays the whole-socket late work in the canonical
@@ -126,41 +75,56 @@ func (s *SystemSnapshot) RecoverVerifyAgainst(priv []map[addr.Block][addr.BlockB
 	return s.recoverVerifyOrder(priv, shared, nil)
 }
 
+// recoverVerifyOrder boots every shard's recovery controller on its
+// image, then replays the parts in the given order (nil = canonical:
+// ascending core id over the private shards, then ascending core id
+// over the shared-region buffers, all draining into the one shared
+// controller) and verifies each shard.
 func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockBytes]byte, shared map[addr.Block][addr.BlockBytes]byte, order []int) (VerifyResult, error) {
 	var res VerifyResult
-	parts, privMCs, sharedMC, err := s.parts()
+	s.parts = s.parts[:0]
+	for c, p := range s.priv {
+		mc, err := p.boot(p.pm, p.ctrs, p.macs, p.tree)
+		if err != nil {
+			return res, fmt.Errorf("crashsim: restore core %d shard: %w", c, err)
+		}
+		s.parts = append(s.parts, recovery.CoreEntries{Core: c, MC: mc, Entries: p.entries})
+	}
+	sharedMC, err := s.shared.boot(s.shared.pm, s.shared.ctrs, s.shared.macs, s.shared.tree)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("crashsim: restore shared shard: %w", err)
+	}
+	for c, entries := range s.sharedEntries {
+		s.parts = append(s.parts, recovery.CoreEntries{Core: c, MC: sharedMC, Entries: entries})
 	}
 	res.EntriesDrained = s.NumEntries()
-	if _, err := recovery.DrainSystemEntries(parts, order); err != nil {
+	if _, err := recovery.DrainSystemEntries(s.parts, order); err != nil {
 		// An out-of-order replay (journal rejection) or a drain that
 		// cannot complete is a correctness finding, not a harness bug.
 		res.fail(fmt.Sprintf("cross-core late work failed: %v", err))
 		return res, nil
 	}
-	var v verifier
-	for c, mc := range privMCs {
-		var shardRes VerifyResult
-		if err := v.verifyImage(mc, priv[c], &shardRes); err != nil {
-			return res, fmt.Errorf("crashsim: core %d shard: %w", c, err)
-		}
-		res.BlocksChecked += shardRes.BlocksChecked
-		res.Failures += shardRes.Failures
-		if res.FirstBad == "" && shardRes.FirstBad != "" {
-			res.FirstBad = fmt.Sprintf("core %d: %s", c, shardRes.FirstBad)
+	for c, p := range s.priv {
+		if err := res.verifyShard(p, priv[c], fmt.Sprintf("core %d", c)); err != nil {
+			return res, err
 		}
 	}
-	var sharedRes VerifyResult
-	if err := v.verifyImage(sharedMC, shared, &sharedRes); err != nil {
-		return res, fmt.Errorf("crashsim: shared shard: %w", err)
+	return res, res.verifyShard(s.shared, shared, "shared")
+}
+
+// verifyShard runs checks 1-4 over the controller the shard's recovery
+// booted and adds the outcome to v, naming the shard in FirstBad.
+func (v *VerifyResult) verifyShard(shard *Snapshot, golden map[addr.Block][addr.BlockBytes]byte, name string) error {
+	var r VerifyResult
+	if err := shard.rec.verifyImage(shard.rec.mc, golden, &r); err != nil {
+		return fmt.Errorf("crashsim: %s shard: %w", name, err)
 	}
-	res.BlocksChecked += sharedRes.BlocksChecked
-	res.Failures += sharedRes.Failures
-	if res.FirstBad == "" && sharedRes.FirstBad != "" {
-		res.FirstBad = "shared: " + sharedRes.FirstBad
+	v.BlocksChecked += r.BlocksChecked
+	v.Failures += r.Failures
+	if v.FirstBad == "" && r.FirstBad != "" {
+		v.FirstBad = name + ": " + r.FirstBad
 	}
-	return res, nil
+	return nil
 }
 
 // sharedStoreRec is one shared-region store in the global epoch-merge
@@ -220,16 +184,6 @@ func newSystemShadow(plan engine.SharedPlan, perCore [][]trace.Op) *systemShadow
 	return s
 }
 
-func applyStore(mem map[addr.Block][addr.BlockBytes]byte, op trace.Op) {
-	block := addr.BlockOf(op.Addr)
-	blk := mem[block]
-	off := int(op.Addr - block.Addr())
-	for i := 0; i < int(op.Size); i++ {
-		blk[off+i] = byte(op.Data >> (8 * i))
-	}
-	mem[block] = blk
-}
-
 // advance catches the goldens up to the snapshot's committed counts.
 // Barrier replay follows exactly the merge order, so the committed set
 // is always a prefix of sharedSeq; advancing while the next record's
@@ -249,7 +203,8 @@ func (s *systemShadow) advance(committed, sharedCommitted []int) {
 }
 
 // SystemGolden is the committed-prefix plaintext image at one crash
-// point. Maps are live shadow state: consume synchronously.
+// point. Maps are live shadow state and the golden is recycled into the
+// next capture: consume synchronously.
 type SystemGolden struct {
 	Priv   []map[addr.Block][addr.BlockBytes]byte
 	Shared map[addr.Block][addr.BlockBytes]byte
@@ -286,7 +241,7 @@ func (g *SystemGolden) SharedPermutedMerge() map[addr.Block][addr.BlockBytes]byt
 }
 
 // SystemHandler receives each captured whole-socket snapshot with its
-// golden image.
+// golden image. Like a Handler's, both are valid only during the call.
 type SystemHandler func(snap *SystemSnapshot, golden *SystemGolden) error
 
 // systemInjector drives one multi-core run and crashes it at chosen
@@ -294,17 +249,14 @@ type SystemHandler func(snap *SystemSnapshot, golden *SystemGolden) error
 // point stream is deterministic: core 0's epoch, core 1's, ..., then
 // the barrier replay in canonical order.
 type systemInjector struct {
-	sys      *engine.System
-	key      []byte
-	shadow   *systemShadow
-	triggers []uint64
-	cursor   int
-	handle   SystemHandler
-	mask     []bool
-
-	points  uint64
-	perKind []uint64
-	err     error
+	pointSink
+	sys    *engine.System
+	shadow *systemShadow
+	handle SystemHandler
+	// snap and golden are handed to the handler and recaptured in place
+	// at every trigger.
+	snap   SystemSnapshot
+	golden SystemGolden
 }
 
 func newSystemInjector(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, triggers []uint64, h SystemHandler) (*systemInjector, error) {
@@ -316,85 +268,43 @@ func newSystemInjector(cfg config.Config, prof workload.Profile, key []byte, per
 	if err != nil {
 		return nil, err
 	}
-	mask := make([]bool, crashpoint.NumKinds())
-	for i := range mask {
-		mask[i] = true
+	n := sys.Cores()
+	key = append([]byte(nil), key...)
+	in := &systemInjector{sys: sys, shadow: newSystemShadow(sys.Plan(), perCore), handle: h}
+	in.pointSink = newPointSink(triggers, in.crash)
+	in.snap = SystemSnapshot{
+		Committed:       make([]int, n),
+		SharedCommitted: make([]int, n),
+		shared:          &Snapshot{cfg: sys.Shared().Controller().Config(), key: key, rec: new(recoverer)},
+		sharedEntries:   make([][]core.Entry, n),
 	}
-	return &systemInjector{
-		sys:      sys,
-		key:      append([]byte(nil), key...),
-		shadow:   newSystemShadow(sys.Plan(), perCore),
-		triggers: triggers,
-		handle:   h,
-		mask:     mask,
-		perKind:  make([]uint64, crashpoint.NumKinds()),
-	}, nil
+	in.golden = SystemGolden{Shared: in.shadow.sharedMem, shadow: in.shadow, sharedCommitted: in.snap.SharedCommitted}
+	for c := 0; c < n; c++ {
+		in.snap.priv = append(in.snap.priv, &Snapshot{cfg: sys.Core(c).Controller().Config(), key: key, rec: new(recoverer)})
+		in.golden.Priv = append(in.golden.Priv, in.shadow.priv[c].view())
+	}
+	return in, nil
 }
 
-func (in *systemInjector) setKinds(kinds []crashpoint.Kind) {
-	if len(kinds) == 0 {
-		return
-	}
-	for i := range in.mask {
-		in.mask[i] = false
-	}
-	for _, k := range kinds {
-		in.mask[k] = true
-	}
-}
-
-// CrashPoint implements crashpoint.Sink.
-func (in *systemInjector) CrashPoint(k crashpoint.Kind, _ addr.Block) {
-	if !in.mask[k] {
-		return
-	}
-	i := in.points
-	in.points++
-	in.perKind[k]++
-	if in.err != nil || in.cursor >= len(in.triggers) || in.triggers[in.cursor] != i {
-		return
-	}
-	in.cursor++
-	snap, golden := in.capture(k, i)
-	if in.handle != nil {
-		if err := in.handle(snap, golden); err != nil {
-			in.err = err
-		}
-	}
-}
-
-// capture freezes the whole socket: every shard's NV image, every
+// crash freezes the whole socket — every shard's NV image, every
 // battery-backed buffer, and the per-buffer acceptance stats that gate
-// the goldens.
-func (in *systemInjector) capture(k crashpoint.Kind, i uint64) (*SystemSnapshot, *SystemGolden) {
-	n := in.sys.Cores()
-	snap := &SystemSnapshot{Kind: k, PointIndex: i, key: in.key}
-	for c := 0; c < n; c++ {
+// the goldens — and hands it to the handler with the goldens.
+func (in *systemInjector) crash(k crashpoint.Kind, i uint64) error {
+	s := &in.snap
+	s.Kind, s.PointIndex = k, i
+	shared := in.sys.Shared()
+	for c, p := range s.priv {
 		eng := in.sys.Core(c)
-		spb := eng.SecPB()
+		p.capture(k, i, eng.Controller(), eng.SecPB())
+		s.Committed[c] = p.Committed
+		spb := shared.SecPB(c)
 		stores, _ := spb.Stats()
-		snap.Committed = append(snap.Committed, int(stores))
-		snap.priv = append(snap.priv, captureShard(eng.Controller().Config(), eng.Controller(), spb.AppendEntries(nil)))
+		s.SharedCommitted[c] = int(stores)
+		s.sharedEntries[c] = spb.AppendEntries(s.sharedEntries[c][:0])
 	}
-	sharedMC := in.sys.Shared().Controller()
-	for c := 0; c < n; c++ {
-		spb := in.sys.Shared().SecPB(c)
-		stores, _ := spb.Stats()
-		snap.SharedCommitted = append(snap.SharedCommitted, int(stores))
-		snap.sharedEntries = append(snap.sharedEntries, spb.AppendEntries(nil))
-	}
-	snap.shared = captureShard(sharedMC.Config(), sharedMC, nil)
-
-	in.shadow.advance(snap.Committed, snap.SharedCommitted)
-	golden := &SystemGolden{
-		Shared:          in.shadow.sharedMem,
-		shadow:          in.shadow,
-		sharedCommitted: append([]int(nil), snap.SharedCommitted...),
-	}
-	for c := 0; c < n; c++ {
-		golden.Priv = append(golden.Priv, in.shadow.priv[c].view())
-	}
-	return snap, golden
+	s.shared.capture(k, i, shared.Controller(), nil)
+	in.shadow.advance(s.Committed, s.SharedCommitted)
+	return in.handle(s, &in.golden)
 }
 
 // Run executes every core's trace to completion, firing the sink at
@@ -404,17 +314,8 @@ func (in *systemInjector) Run() error {
 	if err := in.sys.Run(); err != nil {
 		return fmt.Errorf("crashsim: system run: %w", err)
 	}
-	if in.err != nil {
-		return in.err
-	}
-	if in.cursor != len(in.triggers) {
-		return fmt.Errorf("crashsim: system run fired %d points but %d of %d triggers never matched (nondeterministic point stream?)",
-			in.points, len(in.triggers)-in.cursor, len(in.triggers))
-	}
-	return nil
+	return in.done()
 }
-
-func (in *systemInjector) Points() (uint64, []uint64) { return in.points, in.perKind }
 
 // SystemCellResult is the crash-matrix outcome for one multi-core cell.
 type SystemCellResult struct {
@@ -439,36 +340,26 @@ type SystemCellResult struct {
 // crashes, recovers in the sealed canonical order, and verifies every
 // shard at each trigger.
 func InjectSystemTrace(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, topt TraceOptions) (SystemCellResult, error) {
+	return InjectSystemTraceWith(cfg, prof, key, perCore, topt, nil)
+}
+
+// InjectSystemTraceWith is InjectSystemTrace with a custom handler (the
+// negative controls choose their own verification); a nil h uses the
+// standard RecoverVerify. Only Injected is maintained for custom
+// handlers.
+func InjectSystemTraceWith(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, topt TraceOptions, h SystemHandler) (SystemCellResult, error) {
 	cell := SystemCellResult{
 		Scheme: cfg.Scheme.String(), Workload: prof.Name,
-		Cores: cfg.EffectiveCores(), OpsPerCore: 0, Seed: cfg.Seed,
+		Cores: cfg.EffectiveCores(), Seed: cfg.Seed,
 	}
 	if len(perCore) > 0 {
 		cell.OpsPerCore = len(perCore[0])
 	}
-	count, err := newSystemInjector(cfg, prof, key, perCore, nil, nil)
-	if err != nil {
-		return cell, err
-	}
-	count.setKinds(topt.Kinds)
-	if err := count.Run(); err != nil {
-		return cell, err
-	}
-	total, perKind := count.Points()
-	cell.TotalPoints = total
-	cell.ByKind = make(map[string]uint64, crashpoint.NumKinds())
-	for _, k := range crashpoint.Kinds() {
-		if n := perKind[k]; n > 0 {
-			cell.ByKind[k.String()] = n
-		}
-	}
-	if total == 0 {
-		return cell, fmt.Errorf("crashsim: %s/%s cores=%d fired no crash points", cfg.Scheme, prof.Name, cell.Cores)
-	}
-
-	triggers := chooseTriggers(total, topt.Points, topt.Seed)
-	inj, err := newSystemInjector(cfg, prof, key, perCore, triggers, func(snap *SystemSnapshot, golden *SystemGolden) error {
+	handle := func(snap *SystemSnapshot, golden *SystemGolden) error {
 		cell.Injected++
+		if h != nil {
+			return h(snap, golden)
+		}
 		res, err := snap.RecoverVerify(golden)
 		if err != nil {
 			return err
@@ -482,54 +373,13 @@ func InjectSystemTrace(cfg config.Config, prof workload.Profile, key []byte, per
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return cell, err
 	}
-	inj.setKinds(topt.Kinds)
-	if err := inj.Run(); err != nil {
-		return cell, err
-	}
-	return cell, nil
-}
-
-// InjectSystemTraceWith is InjectSystemTrace with a custom handler (the
-// negative controls choose their own verification); only Injected is
-// maintained for custom handlers.
-func InjectSystemTraceWith(cfg config.Config, prof workload.Profile, key []byte, perCore [][]trace.Op, topt TraceOptions, h SystemHandler) (SystemCellResult, error) {
-	cell := SystemCellResult{
-		Scheme: cfg.Scheme.String(), Workload: prof.Name,
-		Cores: cfg.EffectiveCores(), Seed: cfg.Seed,
-	}
-	if len(perCore) > 0 {
-		cell.OpsPerCore = len(perCore[0])
-	}
-	count, err := newSystemInjector(cfg, prof, key, perCore, nil, nil)
-	if err != nil {
-		return cell, err
-	}
-	count.setKinds(topt.Kinds)
-	if err := count.Run(); err != nil {
-		return cell, err
-	}
-	total, _ := count.Points()
-	cell.TotalPoints = total
-	if total == 0 {
-		return cell, fmt.Errorf("crashsim: %s/%s cores=%d fired no crash points", cfg.Scheme, prof.Name, cell.Cores)
-	}
-	triggers := chooseTriggers(total, topt.Points, topt.Seed)
-	inj, err := newSystemInjector(cfg, prof, key, perCore, triggers, func(snap *SystemSnapshot, golden *SystemGolden) error {
-		cell.Injected++
-		return h(snap, golden)
-	})
-	if err != nil {
-		return cell, err
-	}
-	inj.setKinds(topt.Kinds)
-	if err := inj.Run(); err != nil {
-		return cell, err
-	}
-	return cell, nil
+	var err error
+	cell.TotalPoints, cell.ByKind, err = twoPass(topt, fmt.Sprintf("%s/%s cores=%d", cfg.Scheme, prof.Name, cell.Cores),
+		func(triggers []uint64) (crashRun, error) {
+			return newSystemInjector(cfg, prof, key, perCore, triggers, handle)
+		})
+	return cell, err
 }
 
 // SystemTrace materializes the per-core op slices a multi-core cell

@@ -1,6 +1,9 @@
 package crashsim
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -154,5 +157,50 @@ func TestSystemMatrixConflictHeavy(t *testing.T) {
 	}
 	if uint64(cell.Injected) != cell.TotalPoints {
 		t.Fatalf("injected %d of %d", cell.Injected, cell.TotalPoints)
+	}
+}
+
+// systemMatrix is the multi-core crash grid TestSystemMatrixGolden pins:
+// every SecPB scheme at 1, 2 and 4 cores on gcc, JSON-encoded the way
+// Matrix.WriteJSON encodes the single-core matrix.
+func systemMatrix(t *testing.T) []byte {
+	t.Helper()
+	opts := Options{Ops: 400, Points: 40, Seed: 42}
+	m := struct {
+		Ops    int                `json:"ops"`
+		Seed   uint64             `json:"seed"`
+		Points int                `json:"points_per_cell"`
+		Cells  []SystemCellResult `json:"cells"`
+	}{Ops: opts.Ops, Seed: opts.Seed, Points: opts.Points}
+	for _, scheme := range config.SecPBSchemes() {
+		for _, cores := range []int{1, 2, 4} {
+			cell, err := RunSystemCell(scheme, "gcc", cores, opts)
+			if err != nil {
+				t.Fatalf("%s cores=%d: %v", scheme, cores, err)
+			}
+			m.Cells = append(m.Cells, cell)
+		}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSystemMatrixGolden pins the multi-core crash matrix byte for byte:
+// every cell's point counts, injections, drained entries, checked blocks
+// and findings must match results/crash-matrix-multicore-seed42.json,
+// which was generated before socket snapshots moved onto the
+// single-core capture and recovery path.
+func TestSystemMatrixGolden(t *testing.T) {
+	want, err := os.ReadFile("../../results/crash-matrix-multicore-seed42.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := systemMatrix(t); !bytes.Equal(got, want) {
+		t.Fatalf("multi-core crash matrix differs from its golden:\n%s", got)
 	}
 }

@@ -81,7 +81,10 @@ type ServiceCell struct {
 	Kills         int    `json:"kills"`
 	Resumed       int    `json:"resumed"`
 	PrefixChecked int    `json:"prefix_checked"`
-	Backpressure  int    `json:"backpressure_hits"`
+	// Backpressure counts the 429 retries of the uploads and finalize.
+	// It depends on host timing, so Render shows it but the JSON
+	// artifact leaves it out to stay reproducible.
+	Backpressure  int    `json:"-"`
 	TamperRefused bool   `json:"tamper_refused"`
 	Failures      int    `json:"failures"`
 	FirstBad      string `json:"first_bad,omitempty"`

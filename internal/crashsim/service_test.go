@@ -1,6 +1,7 @@
 package crashsim
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -9,22 +10,36 @@ import (
 
 // A small but real slice of the service kill matrix: every sampled
 // kill point must resume to the golden committed prefix and finish
-// byte-identical, and the per-cell tamper control must be refused.
+// byte-identical, and the per-cell tamper control must be refused. A
+// second run of the same matrix must write byte-identical JSON: the
+// artifact carries nothing that depends on host timing.
 func TestServiceKillMatrixSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service kill matrix is a long test")
 	}
-	m, err := ExploreService(context.Background(), ServiceOptions{
-		Schemes:   []config.Scheme{config.SchemeSP, config.SchemeCOBCM},
-		Workloads: []string{"gcc"},
-		Ops:       1200,
-		SegOps:    128,
-		Seed:      42,
-		Points:    6,
-		Dir:       t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	explore := func() (*ServiceMatrix, []byte) {
+		t.Helper()
+		m, err := ExploreService(context.Background(), ServiceOptions{
+			Schemes:   []config.Scheme{config.SchemeSP, config.SchemeCOBCM},
+			Workloads: []string{"gcc"},
+			Ops:       1200,
+			SegOps:    128,
+			Seed:      42,
+			Points:    6,
+			Dir:       t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return m, buf.Bytes()
+	}
+	m, first := explore()
+	if _, second := explore(); !bytes.Equal(first, second) {
+		t.Errorf("two runs of one matrix wrote different JSON:\n%s\n%s", first, second)
 	}
 	if len(m.Cells) != 2 {
 		t.Fatalf("%d cells, want 2", len(m.Cells))

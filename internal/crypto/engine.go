@@ -2,17 +2,18 @@
 // controller uses: AES counter-mode one-time pads for data encryption,
 // and SHA-512 for BMT node hashes and block MACs.
 //
-// Pads come from the standard library's AES (AES-NI on amd64); its
-// hand-rolled T-table oracle lives in the package's tests. SHA-512 is
-// written from scratch, with a stdlib keyed-midstate fast path (see
-// fast512.go). The hand-rolled code is table-based and NOT constant
-// time — it models a hardware engine inside a simulator and must never
-// be used to protect real data.
+// Pads come from the standard library's AES (AES-NI on amd64) and
+// digests from its SHA-512, MACs and node hashes through a keyed
+// midstate (see fast512.go); the hand-rolled T-table AES and SHA-512
+// oracles they are tested against live in the package's tests. The
+// engine models a hardware unit inside a simulator and must never be
+// used to protect real data.
 package crypto
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha512"
 	"crypto/subtle"
 	"encoding/binary"
 	"sync"
@@ -38,10 +39,8 @@ const MACSize = 64
 // the data-value-independent (address, counter) pair, never on the data.
 //
 // MAC and HashNode are keyed-midstate constructions over a full 128-byte
-// key block (see fast512.go): the hot path restores a cached midstate and
-// compresses a single final block via stdlib crypto/sha512, while
-// MACReference / HashNodeReference recompute the same digests on the
-// hand-rolled SHA512 for differential testing.
+// key block (see fast512.go): each restores a cached midstate and
+// compresses a single final block via stdlib crypto/sha512.
 type Engine struct {
 	// fastAES is the stdlib AES-128 cipher under padKey: on amd64 it
 	// compiles to AES-NI instructions, so a pad costs a few cycles per
@@ -57,7 +56,6 @@ type Engine struct {
 	fast    *fastHasher
 	macMid  []byte
 	nodeMid []byte
-	fastOK  bool
 	// otpSeed/otpPad are per-engine scratch for pad generation. Stack
 	// arrays sliced into the cipher.Block interface call escape to the
 	// heap; routing them through these fields keeps OTPInto (and the
@@ -85,7 +83,6 @@ type derived struct {
 	macKey  [32]byte
 	macMid  []byte
 	nodeMid []byte
-	fastOK  bool
 }
 
 // deriveCacheMax bounds deriveCache growth under adversarial key churn.
@@ -109,7 +106,7 @@ func NewEngine(key []byte) (*Engine, error) {
 	if !ok {
 		// Derive independent sub-keys via SHA-512 so a single master
 		// secret configures the whole engine.
-		sum := Sum512(append([]byte("secpb-engine-v1:"), key...))
+		sum := sha512.Sum512(append([]byte("secpb-engine-v1:"), key...))
 		std, err := aes.NewCipher(sum[:16]) // AES-128 pad generator
 		if err != nil {
 			return nil, err
@@ -119,11 +116,11 @@ func NewEngine(key []byte) (*Engine, error) {
 		copy(d.macKey[:], sum[16:48])
 		macBlock := keyBlock(&d.macKey)
 		nodeBlock := keyBlock(&d.macKey, 0xB7) // domain separation from MAC
-		macMid, okMAC := midstate(&macBlock)
-		nodeMid, okNode := midstate(&nodeBlock)
-		d.fastOK = okMAC && okNode
-		if d.fastOK {
-			d.macMid, d.nodeMid = macMid, nodeMid
+		if d.macMid, err = midstate(&macBlock); err != nil {
+			return nil, err
+		}
+		if d.nodeMid, err = midstate(&nodeBlock); err != nil {
+			return nil, err
 		}
 		deriveMu.Lock()
 		if len(deriveCache) >= deriveCacheMax {
@@ -139,16 +136,12 @@ func NewEngine(key []byte) (*Engine, error) {
 		deriveCache[k] = d
 		deriveMu.Unlock()
 	}
-	e := &Engine{fastAES: d.fastAES, padKey: d.padKey, macKey: d.macKey}
-	if d.fastOK {
-		if fast, ok := newFastHasher(); ok {
-			e.fast = fast
-			e.macMid = d.macMid
-			e.nodeMid = d.nodeMid
-			e.fastOK = true
-		}
+	fast, err := newFastHasher()
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
+	return &Engine{fastAES: d.fastAES, padKey: d.padKey, macKey: d.macKey,
+		fast: fast, macMid: d.macMid, nodeMid: d.nodeMid}, nil
 }
 
 // OTP computes the 64-byte one-time pad for a block at the given physical
@@ -232,16 +225,11 @@ func (e *Engine) MACInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockA
 
 // macInto computes the tag without consulting the memo.
 func (e *Engine) macInto(dst *[MACSize]byte, cipher *[CacheLineSize]byte, blockAddr, counter uint64) {
-	if e.fastOK {
-		var tail [macTailLen]byte
-		binary.LittleEndian.PutUint64(tail[0:], blockAddr)
-		binary.LittleEndian.PutUint64(tail[8:], counter)
-		copy(tail[16:], cipher[:])
-		if e.fast.oneBlock(e.macMid, tail[:], dst) {
-			return
-		}
-	}
-	*dst = e.MACReference(cipher, blockAddr, counter)
+	var tail [macTailLen]byte
+	binary.LittleEndian.PutUint64(tail[0:], blockAddr)
+	binary.LittleEndian.PutUint64(tail[8:], counter)
+	copy(tail[16:], cipher[:])
+	e.fast.oneBlock(e.macMid, tail[:], dst)
 }
 
 // SetMemo attaches a hash memo to the engine, or detaches it with nil.
@@ -257,25 +245,6 @@ func (e *Engine) SetMemo(m *HashMemo) {
 	e.memo = m
 }
 
-// MACReference computes the same tag as MAC on the hand-rolled SHA512,
-// by literally assembling the documented message
-//
-//	macBlock || addr || ctr || ct
-//
-// and hashing it in one shot. It is the differential-test oracle for
-// the fast path and the fallback when state capture is unavailable;
-// like the other reference implementations it favors obvious
-// correctness over speed.
-func (e *Engine) MACReference(cipher *[CacheLineSize]byte, blockAddr, counter uint64) [MACSize]byte {
-	block := keyBlock(&e.macKey)
-	msg := make([]byte, 0, BlockBytes+16+CacheLineSize)
-	msg = append(msg, block[:]...)
-	msg = binary.LittleEndian.AppendUint64(msg, blockAddr)
-	msg = binary.LittleEndian.AppendUint64(msg, counter)
-	msg = append(msg, cipher[:]...)
-	return Sum512(msg)
-}
-
 // HashNode computes a keyed BMT node hash over arbitrary child material.
 // BMT interior nodes (8 children × 8-byte digests = 64 bytes) fit the
 // single-compression fast path; longer inputs stream through the stdlib
@@ -289,27 +258,11 @@ func (e *Engine) HashNode(children []byte) [Size512]byte {
 
 // hashNode computes the digest without consulting the memo.
 func (e *Engine) hashNode(children []byte) [Size512]byte {
-	if e.fastOK {
-		var out [Size512]byte
-		if len(children) <= maxOneBlockTail {
-			if e.fast.oneBlock(e.nodeMid, children, &out) {
-				return out
-			}
-		} else if e.fast.long(e.nodeMid, children, &out) {
-			return out
-		}
+	var out [Size512]byte
+	if len(children) <= maxOneBlockTail {
+		e.fast.oneBlock(e.nodeMid, children, &out)
+	} else {
+		e.fast.long(e.nodeMid, children, &out)
 	}
-	return e.HashNodeReference(children)
-}
-
-// HashNodeReference computes the same digest as HashNode on the
-// hand-rolled SHA512, assembling the documented nodeBlock || children
-// message and hashing it in one shot, favoring obvious correctness over
-// speed.
-func (e *Engine) HashNodeReference(children []byte) [Size512]byte {
-	block := keyBlock(&e.macKey, 0xB7)
-	msg := make([]byte, 0, BlockBytes+len(children))
-	msg = append(msg, block[:]...)
-	msg = append(msg, children...)
-	return Sum512(msg)
+	return out
 }

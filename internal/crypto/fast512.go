@@ -1,17 +1,20 @@
 package crypto
 
 import (
-	stdsha "crypto/sha512"
+	"bytes"
+	"crypto/sha512"
 	"encoding"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash"
 )
 
-// This file is the engine's fast SHA-512 path. The hot hash primitives
-// (per-store MACs and BMT node hashes) run on the standard library's
-// crypto/sha512 — assembly-backed on amd64/arm64 — while the hand-rolled
-// SHA512 in sha512.go stays as the cross-checked reference, mirroring
-// the AES T-table + matrix-reference split introduced for the cipher.
+// This file is the engine's SHA-512 path. The hash primitives (per-store
+// MACs and BMT node hashes) run on the standard library's crypto/sha512
+// — assembly-backed on amd64/arm64 — and the package tests hold them
+// against a hand-rolled SHA-512 reference, as they hold the stdlib AES
+// against a T-table one.
 //
 // Both primitives are keyed-midstate constructions:
 //
@@ -27,12 +30,18 @@ import (
 // finalization is allocation-free (the digest words are read straight
 // out of the compressed state — no state copy, no pad-array build).
 
-// stdState is what the fast path needs from the stdlib digest:
+// Size512 is the SHA-512 digest size in bytes.
+const Size512 = sha512.Size
+
+// BlockBytes is the SHA-512 compression block size.
+const BlockBytes = sha512.BlockSize
+
+// stdState is what the hash path needs from the stdlib digest:
 // incremental hashing plus state capture/restore for keyed midstates.
 // crypto/sha512 has implemented the three encoding interfaces since
-// Go 1.4 (marshal/unmarshal) and Go 1.24 (append); the constructor
-// still self-checks and falls back to the reference path if the
-// assertion or the state layout ever changes.
+// Go 1.4 (marshal/unmarshal) and Go 1.24 (append); NewEngine still
+// self-checks and returns an error if the assertion or the state layout
+// ever changes.
 type stdState interface {
 	hash.Hash
 	encoding.BinaryMarshaler
@@ -53,13 +62,6 @@ const (
 // maxOneBlockTail bytes after the key block still fits — with the 0x80
 // terminator and the 16-byte length — in one compression block.
 const maxOneBlockTail = BlockBytes - 17
-
-// newStdState returns a fresh stdlib SHA-512 digest with state capture,
-// or ok=false if the stdlib type ever stops satisfying stdState.
-func newStdState() (stdState, bool) {
-	d, ok := stdsha.New().(stdState)
-	return d, ok
-}
 
 // keyBlock builds the 128-byte key block for a primitive: the MAC key
 // followed by the domain-separation bytes, zero padded to a full
@@ -83,84 +85,78 @@ type fastHasher struct {
 	sum   [Size512]byte
 }
 
-func newFastHasher() (*fastHasher, bool) {
-	d, ok := newStdState()
+func newFastHasher() (*fastHasher, error) {
+	d, ok := sha512.New().(stdState)
 	if !ok {
-		return nil, false
+		return nil, errors.New("crypto: crypto/sha512 digest lacks state capture")
 	}
-	return &fastHasher{d: d}, true
+	return &fastHasher{d: d}, nil
 }
 
 // midstate captures the stdlib digest state after absorbing one key
 // block. The returned slice is immutable and safe to share across
-// engines. ok is false if the stdlib digest no longer supports state
+// engines. It fails if the stdlib digest no longer supports state
 // capture or the captured state fails the self-check.
-func midstate(block *[BlockBytes]byte) (mid []byte, ok bool) {
-	f, isStd := newFastHasher()
-	if !isStd {
-		return nil, false
+func midstate(block *[BlockBytes]byte) ([]byte, error) {
+	f, err := newFastHasher()
+	if err != nil {
+		return nil, err
 	}
-	if _, err := f.d.Write(block[:]); err != nil {
-		return nil, false
-	}
+	f.d.Write(block[:])
 	mid, err := f.d.MarshalBinary()
-	if err != nil || len(mid) != stateLen {
-		return nil, false
+	if err != nil {
+		return nil, fmt.Errorf("crypto: capture SHA-512 midstate: %w", err)
 	}
-	// Self-check: one digest through the midstate fast path must match
-	// the hand-rolled reference on a representative suffix. This guards
-	// the marshaled-state layout assumption at construction time, so
-	// the per-call path can trust it unconditionally.
+	if len(mid) != stateLen {
+		return nil, fmt.Errorf("crypto: SHA-512 midstate is %d bytes, want %d", len(mid), stateLen)
+	}
+	// Self-check: one digest through the midstate path must match
+	// crypto/sha512 over (block || probe). This guards the
+	// marshaled-state layout assumption at construction time, so the
+	// per-call path can trust it unconditionally.
 	probe := [48]byte{0: 1, 21: 0xA5, 47: 0xFF}
 	var got [Size512]byte
-	if !f.oneBlock(mid, probe[:], &got) {
-		return nil, false
+	f.oneBlock(mid, probe[:], &got)
+	if want := sha512.Sum512(append(bytes.Clone(block[:]), probe[:]...)); got != want {
+		return nil, errors.New("crypto: SHA-512 midstate self-check failed")
 	}
-	ref := NewSHA512()
-	ref.Write(block[:])
-	ref.Write(probe[:])
-	var want [Size512]byte
-	ref.SumInto(&want)
-	if got != want {
-		return nil, false
-	}
-	return mid, true
+	return mid, nil
 }
 
 // oneBlock hashes (key block || tail) in a single compression from the
-// key block's midstate: the final block — tail, 0x80 terminator, message
-// bit length — is assembled in the scratch buffer, the midstate is
-// restored into the digest, and the digest words are extracted from the
-// re-marshaled state. No heap allocation on this path.
-func (f *fastHasher) oneBlock(mid []byte, tail []byte, out *[Size512]byte) bool {
-	if len(tail) > maxOneBlockTail {
-		return false
-	}
+// key block's midstate, for a tail of at most maxOneBlockTail bytes:
+// the final block — tail, 0x80 terminator, message bit length — is
+// assembled in the scratch buffer, the midstate is restored into the
+// digest, and the digest words are extracted from the re-marshaled
+// state. No heap allocation on this path.
+func (f *fastHasher) oneBlock(mid []byte, tail []byte, out *[Size512]byte) {
 	n := copy(f.final[:], tail)
 	f.final[n] = 0x80
 	clear(f.final[n+1 : BlockBytes-8])
 	binary.BigEndian.PutUint64(f.final[BlockBytes-8:], uint64(BlockBytes+n)*8)
-	if err := f.d.UnmarshalBinary(mid); err != nil {
-		return false
-	}
+	f.restore(mid)
 	f.d.Write(f.final[:])
 	st, err := f.d.AppendBinary(f.state[:0])
-	if err != nil || len(st) < stateMagicLen+Size512 {
-		return false
+	if err != nil {
+		panic(fmt.Sprintf("crypto: marshal SHA-512 state after midstate self-check passed: %v", err))
 	}
 	copy(out[:], st[stateMagicLen:stateMagicLen+Size512])
-	return true
 }
 
 // long hashes (key block || tail) for tails too long for a single final
 // block, streaming through the stdlib digest. Sum finalizes into the
 // scratch sum buffer, not the caller's array: handing out[:0] to the
 // hash.Hash interface would make the caller's stack variable escape.
-func (f *fastHasher) long(mid []byte, tail []byte, out *[Size512]byte) bool {
-	if err := f.d.UnmarshalBinary(mid); err != nil {
-		return false
-	}
+func (f *fastHasher) long(mid []byte, tail []byte, out *[Size512]byte) {
+	f.restore(mid)
 	f.d.Write(tail)
 	copy(out[:], f.d.Sum(f.sum[:0]))
-	return true
+}
+
+// restore loads a midstate into the digest. midstate checked that the
+// digest accepts its own marshaled state, so a failure here is a bug.
+func (f *fastHasher) restore(mid []byte) {
+	if err := f.d.UnmarshalBinary(mid); err != nil {
+		panic(fmt.Sprintf("crypto: restore SHA-512 midstate after self-check passed: %v", err))
+	}
 }

@@ -8,15 +8,15 @@ import (
 )
 
 // TestFastPathActive pins the stdlib midstate machinery: if crypto/sha512
-// ever stops supporting state capture the engine would silently fall back
-// to the reference path, and this test makes that visible.
+// ever stops supporting state capture, NewEngine fails its self-check
+// and returns an error, and this test makes that visible.
 func TestFastPathActive(t *testing.T) {
 	e, err := NewEngine([]byte("fast-path-probe"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.fastOK {
-		t.Fatal("stdlib midstate fast path unavailable; engine running on reference path")
+	if e.fast == nil || len(e.macMid) != stateLen || len(e.nodeMid) != stateLen {
+		t.Fatal("engine built without its stdlib midstates")
 	}
 }
 

@@ -24,14 +24,16 @@ go test -race ./...
 # steady-state bounds of the crash-point capture (snapshot stores
 # recycle, so a capture allocates less than one table page), of
 # crash-point recovery (the controller reboots in place, so RecoverVerify
-# allocates under 8 KiB per point), of a whole crash cell on a recycled
+# allocates under 8 KiB per point, and a whole-socket
+# SystemSnapshot.RecoverVerify, whose shards reboot the same way, under
+# 32 KiB per point per core), of a whole crash cell on a recycled
 # rig (engine, stores and recovery state reset in place, so a warm cell
 # allocates under 128 KiB), of RunBatch (zero allocations per warm call:
 # the engine keeps one batch buffer across calls) and of the cache
 # hierarchy's footprint (one word per modeled line). These
 # carry a !race build tag — race instrumentation allocates on its own —
 # so they need this uninstrumented pass to run at all.
-go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|CrashCellSteadyStateAlloc|RunBatchSteadyStateAlloc|CacheFootprint' . \
+go test -run 'ZeroAlloc|CaptureSteadyStateAlloc|RecoverVerifySteadyStateAlloc|SystemRecoverVerifySteadyStateAlloc|CrashCellSteadyStateAlloc|RunBatchSteadyStateAlloc|CacheFootprint' . \
     ./internal/crypto/ ./internal/nvm/ ./internal/crashsim/ ./internal/engine/ \
     ./internal/mem/ ./internal/core/
 
@@ -112,10 +114,11 @@ fi
 echo "table4 identical: cold vs warm vs corrupted -memodir"
 
 # Multi-core smoke, race-clean: the cores=2 exhaustive crash matrix with
-# both negative drain/merge-order controls, the cross-core fault sweep,
-# and the serial-vs-parallel core-stepping identity.
+# both negative drain/merge-order controls, the multi-core crash-matrix
+# golden (results/crash-matrix-multicore-seed42.json), the cross-core
+# fault sweep, and the serial-vs-parallel core-stepping identity.
 go test -race \
-    -run 'TestSystemMatrixExhaustive|TestSystemNegativePermuted|TestSystemFaultSweep|TestSystemSerialParallelIdentity|TestSystemSingleCore|TestDrainSystem' \
+    -run 'TestSystemMatrixExhaustive|TestSystemMatrixGolden|TestSystemNegativePermuted|TestSystemFaultSweep|TestSystemSerialParallelIdentity|TestSystemSingleCore|TestDrainSystem' \
     ./internal/engine/ ./internal/crashsim/ ./internal/recovery/
 
 # Multi-core determinism gate: the battery-sizing grid must be
