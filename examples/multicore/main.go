@@ -16,6 +16,7 @@ import (
 	"reflect"
 
 	"secpb/internal/config"
+	"secpb/internal/core"
 	"secpb/internal/engine"
 	"secpb/internal/nvm"
 	"secpb/internal/recovery"
@@ -61,9 +62,9 @@ func main() {
 	fmt.Println("coherence invariants hold: every Modified line has exactly one SecPB entry, never replicated")
 
 	// Snapshot the socket as a crash would find it: per-shard media
-	// images plus every buffer's entries, in the canonical drain order —
-	// ascending core over private SecPBs, then ascending core over the
-	// shared-region SecPBs.
+	// images plus every buffer's late-work journal, sealed in the
+	// canonical drain order — ascending core over private SecPBs, then
+	// ascending core over the shared-region SecPBs.
 	restore := func(mc *nvm.Controller) *nvm.Controller {
 		r, err := nvm.Restore(mc.Config(), key, mc.PM().Snapshot(),
 			mc.Counters().Snapshot(), mc.MACs().Snapshot(), mc.Tree().Snapshot())
@@ -72,19 +73,21 @@ func main() {
 		}
 		return r
 	}
-	var parts []recovery.CoreEntries
+	capture := func(spb *core.SecPB) *recovery.Journal {
+		j := new(recovery.Journal)
+		j.Capture(spb)
+		return j
+	}
+	var j recovery.SystemJournal
+	j.Reset()
+	shards := make([]*nvm.Controller, cores)
 	for c := 0; c < cores; c++ {
-		parts = append(parts, recovery.CoreEntries{
-			Core: c, MC: restore(sys.Core(c).Controller()),
-			Entries: sys.Core(c).SecPB().AppendEntries(nil),
-		})
+		shards[c] = restore(sys.Core(c).Controller())
+		j.Add(c, shards[c], capture(sys.Core(c).SecPB()))
 	}
 	sharedMC := restore(sys.Shared().Controller())
 	for c := 0; c < cores; c++ {
-		parts = append(parts, recovery.CoreEntries{
-			Core: c, MC: sharedMC,
-			Entries: sys.Shared().SecPB(c).AppendEntries(nil),
-		})
+		j.Add(c, sharedMC, capture(sys.Shared().SecPB(c)))
 	}
 
 	// Whole-socket power loss on the live system: the battery funds a
@@ -100,18 +103,17 @@ func main() {
 	// sealed journal: the canonical order drains, any other order is
 	// rejected before a single entry touches media.
 	fmt.Println("\n== sealed recovery journal: replay order is data ==")
-	j := recovery.NewSystemJournal(parts)
 	if _, err := j.DrainPart(1); err != nil {
 		fmt.Printf("draining core 1 before core 0: rejected (%v)\n", err)
 	} else {
 		log.Fatal("journal accepted an out-of-order drain")
 	}
-	cost, err := recovery.DrainSystemEntries(parts, nil)
+	cost, err := j.Drain(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for c := 0; c < cores; c++ {
-		if !reflect.DeepEqual(parts[c].MC.PM().Snapshot(), sys.Core(c).Controller().PM().Snapshot()) {
+		if !reflect.DeepEqual(shards[c].PM().Snapshot(), sys.Core(c).Controller().PM().Snapshot()) {
 			log.Fatalf("core %d: recovered image differs from the live crash drain", c)
 		}
 	}

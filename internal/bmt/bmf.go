@@ -67,9 +67,6 @@ func (m *HeightModel) Reset() {
 	m.hits, m.misses = 0, 0
 }
 
-// Mode returns the configured BMF mode.
-func (m *HeightModel) Mode() config.BMFMode { return m.mode }
-
 // WalkLevels returns the number of hash levels an update/verify of the
 // given page traverses. For BMF modes a root-cache miss pays the full
 // height (subtree root swap-in) and installs the root for future walks.

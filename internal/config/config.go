@@ -160,7 +160,6 @@ func (c CacheConfig) Sets() int { return c.SizeBytes / (c.Ways * c.BlockBytes) }
 type Config struct {
 	// Core.
 	ClockGHz       float64
-	CommitWidth    int // instructions retired per cycle when not stalled
 	StoreBufferCap int
 
 	// Data caches (Table I).
@@ -170,12 +169,10 @@ type Config struct {
 	CtrCache, MACCache, BMTCache CacheConfig
 
 	// SecPB / persist buffer.
-	SecPBEntries     int
-	SecPBAccessCyc   uint64
-	DrainHi          float64 // high watermark fraction triggering drain
-	DrainLo          float64 // low watermark fraction stopping drain
-	SecPBEntryBytes  int     // tracked entry size for energy (260B)
-	DrainBurstBlocks int     // entries the MC accepts per drain grant
+	SecPBEntries   int
+	SecPBAccessCyc uint64
+	DrainHi        float64 // high watermark fraction triggering drain
+	DrainLo        float64 // low watermark fraction stopping drain
 
 	// Security mechanisms.
 	BMTLevels   int     // full BMT height (8)
@@ -202,8 +199,6 @@ type Config struct {
 	PMSizeBytes  uint64
 	PMReadNanos  float64
 	PMWriteNanos float64
-	PMWriteQueue int
-	PMReadQueue  int
 
 	// Media-fault model (internal/fault). All-zero rates model perfect
 	// media and keep every artifact byte-identical to the fault-free
@@ -250,7 +245,6 @@ func (c Config) FaultEnabled() bool {
 func Default() Config {
 	return Config{
 		ClockGHz:       4.0,
-		CommitWidth:    1,
 		StoreBufferCap: 8,
 
 		L1: CacheConfig{SizeBytes: 64 << 10, Ways: 8, BlockBytes: 64, AccessCycles: 2},
@@ -261,12 +255,10 @@ func Default() Config {
 		MACCache: CacheConfig{SizeBytes: 128 << 10, Ways: 8, BlockBytes: 64, AccessCycles: 2},
 		BMTCache: CacheConfig{SizeBytes: 128 << 10, Ways: 8, BlockBytes: 64, AccessCycles: 2},
 
-		SecPBEntries:     32,
-		SecPBAccessCyc:   2,
-		DrainHi:          0.75,
-		DrainLo:          0.25,
-		SecPBEntryBytes:  260,
-		DrainBurstBlocks: 4,
+		SecPBEntries:   32,
+		SecPBAccessCyc: 2,
+		DrainHi:        0.75,
+		DrainLo:        0.25,
 
 		BMTLevels:   8,
 		MACLatency:  40,
@@ -282,8 +274,6 @@ func Default() Config {
 		PMSizeBytes:  8 << 30,
 		PMReadNanos:  55,
 		PMWriteNanos: 150,
-		PMWriteQueue: 128,
-		PMReadQueue:  64,
 
 		MaxWriteRetries: 3,
 

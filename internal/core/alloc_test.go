@@ -19,14 +19,14 @@ import (
 func TestAppendEntriesZeroAlloc(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeCOBCM)
 	for i := uint64(0); !s.Full(); i++ {
-		if _, err := s.AcceptStore(addr.FromIndex(3*i), 0, 8, i, nil); err != nil {
+		if _, err := accept(s, 0, addr.FromIndex(3*i), 0, 8, i); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
 			if ok, _, err := s.FlushBlock(addr.FromIndex(0)); !ok || err != nil {
 				t.Fatalf("flush: resident %v, %v", ok, err)
 			}
-			if _, err := s.AcceptStore(addr.FromIndex(0), 0, 8, 0, nil); err != nil {
+			if _, err := accept(s, 0, addr.FromIndex(0), 0, 8, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -11,10 +11,10 @@ func TestDrainProcessOnlyDrainsOwnEntries(t *testing.T) {
 	s, mc := newSecPB(t, config.SchemeCOBCM)
 	// Two processes interleave entries in the same per-core SecPB.
 	for i := uint64(0); i < 4; i++ {
-		if _, err := s.AcceptStoreFor(1, addr.FromIndex(0x100+i), 0, 8, i, nil); err != nil {
+		if _, err := accept(s, 1, addr.FromIndex(0x100+i), 0, 8, i); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.AcceptStoreFor(2, addr.FromIndex(0x200+i), 0, 8, 100+i, nil); err != nil {
+		if _, err := accept(s, 2, addr.FromIndex(0x200+i), 0, 8, 100+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,12 +53,12 @@ func TestDrainProcessPreservesOrder(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeCOBCM)
 	blocks := []addr.Block{addr.FromIndex(9), addr.FromIndex(3), addr.FromIndex(7)}
 	for i, b := range blocks {
-		if _, err := s.AcceptStoreFor(5, b, 0, 8, uint64(i), nil); err != nil {
+		if _, err := accept(s, 5, b, 0, 8, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Interject another process's entry between them.
-	if _, err := s.AcceptStoreFor(6, addr.FromIndex(99), 0, 8, 0, nil); err != nil {
+	if _, err := accept(s, 6, addr.FromIndex(99), 0, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	var drained []addr.Block
@@ -82,8 +82,8 @@ func TestDrainProcessPreservesOrder(t *testing.T) {
 func TestCoalescingDoesNotRetag(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeCOBCM)
 	b := addr.FromIndex(0x42)
-	s.AcceptStoreFor(7, b, 0, 8, 1, nil)
-	s.AcceptStoreFor(8, b, 8, 8, 2, nil) // shared-memory write by asid 8
+	accept(s, 7, b, 0, 8, 1)
+	accept(s, 8, b, 8, 8, 2) // shared-memory write by asid 8
 	if e := s.Lookup(b); e.ASID != 7 {
 		t.Errorf("entry re-tagged to %d, want allocator's 7", e.ASID)
 	}
@@ -96,7 +96,7 @@ func TestCoalescingDoesNotRetag(t *testing.T) {
 
 func TestAcceptStoreDefaultsToASIDZero(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeCOBCM)
-	s.AcceptStore(addr.FromIndex(1), 0, 8, 1, nil)
+	accept(s, 0, addr.FromIndex(1), 0, 8, 1)
 	if e := s.Lookup(addr.FromIndex(1)); e.ASID != 0 {
 		t.Errorf("default ASID = %d", e.ASID)
 	}

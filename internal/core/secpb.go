@@ -107,14 +107,13 @@ type SecPB struct {
 	inflight *Entry
 
 	// Statistics.
-	stores       uint64
-	allocs       uint64
-	earlyBMT     uint64 // BMT walks charged at allocation
-	earlyOTP     uint64
-	earlyMAC     uint64
-	earlyXOR     uint64
-	invalidated  uint64 // prepared-metadata invalidations (page re-encryption)
-	migrationsIn uint64 // entries adopted from other cores' SecPBs
+	stores      uint64
+	allocs      uint64
+	earlyBMT    uint64 // BMT walks charged at allocation
+	earlyOTP    uint64
+	earlyMAC    uint64
+	earlyXOR    uint64
+	invalidated uint64 // prepared-metadata invalidations (page re-encryption)
 }
 
 // New builds a SecPB attached to the given memory controller.
@@ -178,34 +177,17 @@ func (s *SecPB) Invalidations() uint64 { return s.invalidated }
 // memory-side and holds the freshest data.
 func (s *SecPB) Lookup(b addr.Block) *Entry { return s.buf.Lookup(b) }
 
-// AcceptStore coalesces one store into the buffer and performs the
-// scheme's early security-metadata work. fetch supplies the block's
-// current contents for a newly allocated entry. It returns pb.ErrFull
-// (wrapped) when the buffer needs a drain first; the caller drains and
-// retries.
-func (s *SecPB) AcceptStore(b addr.Block, off, size int, val uint64, fetch func() [addr.BlockBytes]byte) (AcceptCost, error) {
-	return s.AcceptStoreFor(0, b, off, size, val, fetch)
-}
-
-// AcceptStoreFor is AcceptStore with an explicit address-space tag, for
-// systems running multiple processes per core (the drain-process
-// application-crash policy needs the tag; drain-all ignores it).
-func (s *SecPB) AcceptStoreFor(asid uint16, b addr.Block, off, size int, val uint64, fetch func() [addr.BlockBytes]byte) (AcceptCost, error) {
-	entry, allocated, err := s.buf.WriteFor(asid, b, off, size, val, fetch)
-	if err != nil {
-		return AcceptCost{}, err
-	}
-	var cost AcceptCost
-	err = s.acceptEntry(entry, allocated, b, &cost)
-	return cost, err
-}
-
-// AcceptStoreInit is the closure-free hot-path form of AcceptStoreFor:
-// init, if non-nil, points at the block's current contents (copied only
-// on allocation), and allocAt stamps the new entry's point-of-persistency
+// AcceptStoreInit coalesces one store into the buffer and performs the
+// scheme's early security-metadata work. asid tags a newly allocated
+// entry with the storing process's address space (the drain-process
+// application-crash policy needs the tag; drain-all ignores it); init,
+// if non-nil, points at the block's current contents (copied only on
+// allocation); and allocAt stamps the new entry's point-of-persistency
 // cycle for the battery-exposure histogram. The accept cost fills the
 // caller's out-param — AcceptCost embeds an nvm.Cost and returning it
-// by value through two call layers was a measurable per-store copy.
+// by value through two call layers was a measurable per-store copy. It
+// returns pb.ErrFull when the buffer needs a drain first; the caller
+// drains and retries.
 func (s *SecPB) AcceptStoreInit(asid uint16, b addr.Block, off, size int, val uint64, init *[addr.BlockBytes]byte, allocAt uint64, cost *AcceptCost) error {
 	entry, allocated, err := s.buf.WriteInit(asid, b, off, size, val, init)
 	if err != nil {
@@ -389,15 +371,8 @@ func (s *SecPB) RemoveForMigration(b addr.Block) *Entry {
 // counter/OTP/BMT work the donor already performed. It returns
 // pb.ErrFull when this buffer needs a drain first.
 func (s *SecPB) AdoptMigrated(e *Entry) error {
-	if err := s.buf.Insert(e); err != nil {
-		return err
-	}
-	s.migrationsIn++
-	return nil
+	return s.buf.Insert(e)
 }
-
-// MigrationsIn returns how many entries were adopted from other cores.
-func (s *SecPB) MigrationsIn() uint64 { return s.migrationsIn }
 
 // PopOldest removes and returns the oldest entry WITHOUT completing its
 // memory tuple at the controller. Correct operation never does this; it

@@ -24,6 +24,14 @@ func newSecPB(t *testing.T, scheme config.Scheme) (*SecPB, *nvm.Controller) {
 	return s, mc
 }
 
+// accept is AcceptStoreInit with no initial contents and no allocation
+// stamp, returning the accept cost.
+func accept(s *SecPB, asid uint16, b addr.Block, off, size int, val uint64) (AcceptCost, error) {
+	var cost AcceptCost
+	err := s.AcceptStoreInit(asid, b, off, size, val, nil, 0, &cost)
+	return cost, err
+}
+
 func TestEarlyWorkPerScheme(t *testing.T) {
 	cases := []struct {
 		scheme                    config.Scheme
@@ -39,7 +47,7 @@ func TestEarlyWorkPerScheme(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s, _ := newSecPB(t, tc.scheme)
-		cost, err := s.AcceptStore(addr.BlockOf(0x1000), 0, 8, 42, nil)
+		cost, err := accept(s, 0, addr.BlockOf(0x1000), 0, 8, 42)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.scheme, err)
 		}
@@ -70,7 +78,7 @@ func TestCoalescingOptimization(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeNoGap)
 	b := addr.BlockOf(0x2000)
 	for i := 0; i < 5; i++ {
-		cost, err := s.AcceptStore(b, i*8, 8, uint64(i), nil)
+		cost, err := accept(s, 0, b, i*8, 8, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +109,7 @@ func TestDrainRoundTripAllSchemes(t *testing.T) {
 		b := addr.BlockOf(0x3000)
 		var want [addr.BlockBytes]byte
 		for i := 0; i < 8; i++ {
-			if _, err := s.AcceptStore(b, i*8, 8, uint64(i)+1000, nil); err != nil {
+			if _, err := accept(s, 0, b, i*8, 8, uint64(i)+1000); err != nil {
 				t.Fatal(err)
 			}
 			for j := 0; j < 8; j++ {
@@ -131,8 +139,8 @@ func TestDrainCostReflectsEagerness(t *testing.T) {
 	lazy, _ := newSecPB(t, config.SchemeCOBCM)
 	eager, _ := newSecPB(t, config.SchemeNoGap)
 	b := addr.BlockOf(0x4000)
-	lazy.AcceptStore(b, 0, 8, 1, nil)
-	eager.AcceptStore(b, 0, 8, 1, nil)
+	accept(lazy, 0, b, 0, 8, 1)
+	accept(eager, 0, b, 0, 8, 1)
 	_, lazyCost, err := lazy.DrainOne()
 	if err != nil {
 		t.Fatal(err)
@@ -157,19 +165,19 @@ func TestFullBufferRejectsNewBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := s.AcceptStore(addr.FromIndex(uint64(i)), 0, 8, 0, nil); err != nil {
+		if _, err := accept(s, 0, addr.FromIndex(uint64(i)), 0, 8, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !s.Full() {
 		t.Fatal("not full")
 	}
-	_, err = s.AcceptStore(addr.FromIndex(99), 0, 8, 0, nil)
+	_, err = accept(s, 0, addr.FromIndex(99), 0, 8, 0)
 	if !errors.Is(err, pb.ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
 	// Coalescing into a resident block still succeeds when full.
-	if _, err := s.AcceptStore(addr.FromIndex(1), 8, 8, 0, nil); err != nil {
+	if _, err := accept(s, 0, addr.FromIndex(1), 8, 8, 0); err != nil {
 		t.Errorf("coalescing on full buffer failed: %v", err)
 	}
 }
@@ -179,7 +187,7 @@ func TestCrashDrainPersistsEverything(t *testing.T) {
 		s, mc := newSecPB(t, scheme)
 		blocks := []addr.Block{addr.BlockOf(0x1000), addr.BlockOf(0x2000), addr.BlockOf(0x55C0)}
 		for i, b := range blocks {
-			if _, err := s.AcceptStore(b, 0, 8, uint64(i)+7, nil); err != nil {
+			if _, err := accept(s, 0, b, 0, 8, uint64(i)+7); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -208,7 +216,7 @@ func TestCrashDrainPersistsEverything(t *testing.T) {
 func TestFlushBlock(t *testing.T) {
 	s, mc := newSecPB(t, config.SchemeCM)
 	b := addr.BlockOf(0x6000)
-	s.AcceptStore(b, 0, 8, 0xAB, nil)
+	accept(s, 0, b, 0, 8, 0xAB)
 	found, _, err := s.FlushBlock(b)
 	if err != nil || !found {
 		t.Fatalf("flush: found=%v err=%v", found, err)
@@ -225,7 +233,7 @@ func TestFlushBlock(t *testing.T) {
 func TestLookupServesResidentBlock(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeCOBCM)
 	b := addr.BlockOf(0x7000)
-	s.AcceptStore(b, 0, 8, 0xCD, nil)
+	accept(s, 0, b, 0, 8, 0xCD)
 	e := s.Lookup(b)
 	if e == nil || e.Data[0] != 0xCD {
 		t.Fatal("Lookup missed resident block")
@@ -253,7 +261,7 @@ func TestReencryptionInvalidatesPreparedMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.AcceptStore(resident, 0, 8, 0x77, nil); err != nil {
+	if _, err := accept(s, 0, resident, 0, 8, 0x77); err != nil {
 		t.Fatal(err)
 	}
 	if s.Lookup(resident).Ext.MACValid != true {
@@ -282,7 +290,7 @@ func TestReencryptionInvalidatesPreparedMeta(t *testing.T) {
 func TestBBBSchemeSkipsAllMetadata(t *testing.T) {
 	s, mc := newSecPB(t, config.SchemeBBB)
 	b := addr.BlockOf(0xA000)
-	cost, err := s.AcceptStore(b, 0, 8, 5, nil)
+	cost, err := accept(s, 0, b, 0, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +309,9 @@ func TestNWPEAccounting(t *testing.T) {
 	s, _ := newSecPB(t, config.SchemeCOBCM)
 	b := addr.BlockOf(0xB000)
 	for i := 0; i < 4; i++ {
-		s.AcceptStore(b, i*8, 8, 1, nil)
+		accept(s, 0, b, i*8, 8, 1)
 	}
-	s.AcceptStore(addr.BlockOf(0xB040), 0, 8, 1, nil)
+	accept(s, 0, addr.BlockOf(0xB040), 0, 8, 1)
 	s.DrainOne()
 	s.DrainOne()
 	if got := s.NWPE(); got != 2.5 {

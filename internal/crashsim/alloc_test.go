@@ -76,9 +76,10 @@ func TestCaptureSteadyStateAlloc(t *testing.T) {
 
 // TestRecoverVerifySteadyStateAlloc pins the recycled recovery state:
 // after a cell's first crash point, RecoverVerify reboots the
-// snapshot's controller in place (Reboot) and replays the audit into a
-// reset tree, with the journal and the verify block lists in recycled
-// buffers, so the bytes allocated inside RecoverVerify must average
+// snapshot's controller in place (Reboot), drains the journal the
+// capture filled, and replays the audit into a reset tree, with the
+// verify block lists in recycled buffers, so the bytes allocated inside
+// RecoverVerify must average
 // below 8 KiB per point. Most points allocate nothing; what remains is
 // the table pages a recovery drain is first to touch, which later
 // captures then reuse. Building a fresh controller and replay tree per
@@ -136,15 +137,18 @@ func TestRecoverVerifySteadyStateAlloc(t *testing.T) {
 
 // TestSystemRecoverVerifySteadyStateAlloc is TestRecoverVerifySteadyStateAlloc
 // for a whole socket: each shard of a SystemSnapshot is a Snapshot whose
-// controller reboots in place, so after a cell's first crash point the
-// bytes allocated inside SystemSnapshot.RecoverVerify must stay under
-// 32 KiB per point per core. What remains is mostly the entry copies of
-// the cross-core drain journals (recovery.DrainSystemEntries) and the
-// table pages a drain is first to touch: about 14 KB at 1 core, 38 KB at
-// 2 and 89 KB at 4. Restoring fresh controllers per shard per point
-// allocates 0.4, 0.9 and 1.5 MB.
+// controller reboots in place, and every buffer's entries drain from
+// the one journal they were captured into (the cross-core
+// recovery.SystemJournal is a recycled cursor over those journals and
+// copies none), so after a cell's first crash point the bytes
+// allocated inside SystemSnapshot.RecoverVerify must stay under 16 KiB
+// per point per core. What remains is mostly the table pages a drain is
+// first to touch: about 5 KB at 1 core, 10 KB at 2 and 42 KB at 4.
+// Copying every buffer's entries into the cross-core journal and again
+// into a per-part journal allocates 14, 38 and 89 KB; restoring fresh
+// controllers per shard per point allocates 0.4, 0.9 and 1.5 MB.
 func TestSystemRecoverVerifySteadyStateAlloc(t *testing.T) {
-	const budgetPerCore = 32 << 10
+	const budgetPerCore = 16 << 10
 	prof, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)

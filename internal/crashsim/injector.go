@@ -12,24 +12,26 @@ import (
 	"secpb/internal/engine"
 	"secpb/internal/meta"
 	"secpb/internal/nvm"
+	"secpb/internal/recovery"
 	"secpb/internal/trace"
 	"secpb/internal/workload"
 )
 
 // Snapshot is everything that survives a power failure at one crash
 // point: the persisted NV image (PM blocks, counter store, MAC store,
-// BMT plus its NV root register) and the battery-backed domain (SecPB
-// entries including an interrupted in-flight drain, which models the
-// memory-controller latches the battery also sustains). Volatile state —
+// BMT plus its NV root register) and the battery-backed domain: the
+// SecPB's late-work journal, which holds its entries, an interrupted
+// in-flight drain included (it models the memory-controller latches the
+// battery also sustains), sealed at the crash. Volatile state —
 // metadata caches, clocks, the core's program view — is deliberately
 // absent. A Snapshot is single-use: RecoverVerify mutates the captured
 // image while draining. It is also valid only for the duration of the
 // Handler call that receives it: once the handler returns, the injector
 // recycles the snapshot and its stores (PM image, counter and MAC
-// stores, tree) as the destination of the next capture, so that each
-// capture copies only the present data into pages it already owns. The
-// controller its recovery booted is recycled with it and rebooted onto
-// the next capture.
+// stores, tree, journal) as the destination of the next capture, so
+// that each capture copies only the present data into storage it
+// already owns. The controller its recovery booted is recycled with it
+// and rebooted onto the next capture.
 type Snapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64 // ordinal among all points fired this run
@@ -44,7 +46,7 @@ type Snapshot struct {
 	ctrs    *meta.CounterStore
 	macs    *meta.MACStore
 	tree    *bmt.Tree
-	entries []core.Entry
+	journal recovery.Journal
 	// rec is the recovery controller and scratch recycled with the
 	// stores (see recoverer).
 	rec *recoverer
@@ -63,7 +65,7 @@ type Handler func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) e
 
 // NumEntries returns how many battery-backed entries the snapshot holds
 // (the late work a recovery must fund).
-func (s *Snapshot) NumEntries() int { return len(s.entries) }
+func (s *Snapshot) NumEntries() int { return s.journal.Len() }
 
 // Injector drives one simulated run and crashes it at chosen points.
 // Its pointSink counts every hook firing, and the firings whose ordinal
@@ -201,27 +203,26 @@ func (p *pointSink) Points() (total uint64, perKind []uint64) {
 
 // capture copies the crash-surviving state of one memory-channel shard
 // into s's recycled stores: mc's persisted NV image and, unless spb is
-// nil, spb's battery-backed entries, accepted-store count and
-// interrupted drain. The committed-store count is the SecPB's
+// nil, spb's battery-backed entries (into the journal), accepted-store
+// count and interrupted drain. The committed-store count is the SecPB's
 // accepted-store stat: acceptance is the point of persistency, and the
 // stat is bumped only after the entry's data is in battery-backed
 // storage, so it is exact at every hook site regardless of which
 // micro-op (backflow drain, watermark drain, sweep) the point
-// interrupts. The previous capture's stores and entry slice, however
-// its handler left them, are the copy destinations.
+// interrupts. The previous capture's stores and journal, however its
+// handler left them, are the copy destinations.
 func (s *Snapshot) capture(k crashpoint.Kind, i uint64, mc *nvm.Controller, spb *core.SecPB) {
 	s.Kind, s.PointIndex = k, i
 	s.pm = mc.PM().SnapshotInto(s.pm)
 	s.ctrs = mc.Counters().SnapshotInto(s.ctrs)
 	s.macs = mc.MACs().SnapshotInto(s.macs)
 	s.tree = mc.Tree().SnapshotInto(s.tree)
-	s.entries = s.entries[:0]
 	s.Committed, s.InFlight = 0, false
 	if spb != nil {
 		stores, _ := spb.Stats()
 		s.Committed = int(stores)
 		s.InFlight = spb.InFlightDrain() != nil
-		s.entries = spb.AppendEntries(s.entries)
+		s.journal.Capture(spb)
 	}
 }
 

@@ -104,7 +104,7 @@ func tamperImage(t *testing.T, snap *Snapshot, kind string) string {
 	capacity := snap.tree.Capacity()
 	group := func(page uint64) uint64 { return page % capacity / bmt.Arity }
 	busy := make(map[uint64]bool) // level-1 node groups the drain touches
-	for _, e := range snap.entries {
+	for _, e := range snap.journal.Entries() {
 		busy[group(e.Block.CounterLine())] = true
 	}
 	var victims []addr.Block

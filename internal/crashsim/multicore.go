@@ -6,7 +6,6 @@ import (
 
 	"secpb/internal/addr"
 	"secpb/internal/config"
-	"secpb/internal/core"
 	"secpb/internal/crashpoint"
 	"secpb/internal/engine"
 	"secpb/internal/recovery"
@@ -17,12 +16,12 @@ import (
 
 // SystemSnapshot is everything that survives a power failure of an
 // N-core socket: each core's private memory-channel shard with its
-// SecPB entries, the shared coherent region's shard, and each core's
-// shared-region SecPB entries. Each shard is a Snapshot, captured and
-// rebooted exactly as a single-core one, and like one the whole
-// SystemSnapshot is recycled into the next capture once the handler
-// that receives it returns. The committed-store counts (the acceptance
-// stats at the instant of the crash) gate the golden model.
+// SecPB's journal, the shared coherent region's shard, and the journal
+// of each core's shared-region SecPB. Each shard is a Snapshot,
+// captured and rebooted exactly as a single-core one, and like one the
+// whole SystemSnapshot is recycled into the next capture once the
+// handler that receives it returns. The committed-store counts (the
+// acceptance stats at the instant of the crash) gate the golden model.
 type SystemSnapshot struct {
 	Kind       crashpoint.Kind
 	PointIndex uint64
@@ -33,10 +32,10 @@ type SystemSnapshot struct {
 	Committed       []int
 	SharedCommitted []int
 
-	priv          []*Snapshot            // per core: private shard and SecPB entries
-	shared        *Snapshot              // the shared region's NV image; no entries
-	sharedEntries [][]core.Entry         // per core, FIFO order
-	parts         []recovery.CoreEntries // recovery's part list, recycled
+	priv           []*Snapshot            // per core: private shard and SecPB journal
+	shared         *Snapshot              // the shared region's NV image; no journal
+	sharedJournals []recovery.Journal     // per core: the shared-region SecPB
+	journal        recovery.SystemJournal // the drain order, sealed at recovery
 }
 
 // NumEntries returns the total battery-backed entries across all
@@ -44,7 +43,7 @@ type SystemSnapshot struct {
 func (s *SystemSnapshot) NumEntries() int {
 	n := 0
 	for c, p := range s.priv {
-		n += p.NumEntries() + len(s.sharedEntries[c])
+		n += p.NumEntries() + s.sharedJournals[c].Len()
 	}
 	return n
 }
@@ -82,23 +81,23 @@ func (s *SystemSnapshot) RecoverVerifyAgainst(priv []map[addr.Block][addr.BlockB
 // controller) and verifies each shard.
 func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockBytes]byte, shared map[addr.Block][addr.BlockBytes]byte, order []int) (VerifyResult, error) {
 	var res VerifyResult
-	s.parts = s.parts[:0]
+	s.journal.Reset()
 	for c, p := range s.priv {
 		mc, err := p.boot(p.pm, p.ctrs, p.macs, p.tree)
 		if err != nil {
 			return res, fmt.Errorf("crashsim: restore core %d shard: %w", c, err)
 		}
-		s.parts = append(s.parts, recovery.CoreEntries{Core: c, MC: mc, Entries: p.entries})
+		s.journal.Add(c, mc, &p.journal)
 	}
 	sharedMC, err := s.shared.boot(s.shared.pm, s.shared.ctrs, s.shared.macs, s.shared.tree)
 	if err != nil {
 		return res, fmt.Errorf("crashsim: restore shared shard: %w", err)
 	}
-	for c, entries := range s.sharedEntries {
-		s.parts = append(s.parts, recovery.CoreEntries{Core: c, MC: sharedMC, Entries: entries})
+	for c := range s.sharedJournals {
+		s.journal.Add(c, sharedMC, &s.sharedJournals[c])
 	}
 	res.EntriesDrained = s.NumEntries()
-	if _, err := recovery.DrainSystemEntries(s.parts, order); err != nil {
+	if _, err := s.journal.Drain(order); err != nil {
 		// An out-of-order replay (journal rejection) or a drain that
 		// cannot complete is a correctness finding, not a harness bug.
 		res.fail(fmt.Sprintf("cross-core late work failed: %v", err))
@@ -276,7 +275,7 @@ func newSystemInjector(cfg config.Config, prof workload.Profile, key []byte, per
 		Committed:       make([]int, n),
 		SharedCommitted: make([]int, n),
 		shared:          &Snapshot{cfg: sys.Shared().Controller().Config(), key: key, rec: new(recoverer)},
-		sharedEntries:   make([][]core.Entry, n),
+		sharedJournals:  make([]recovery.Journal, n),
 	}
 	in.golden = SystemGolden{Shared: in.shadow.sharedMem, shadow: in.shadow, sharedCommitted: in.snap.SharedCommitted}
 	for c := 0; c < n; c++ {
@@ -300,7 +299,7 @@ func (in *systemInjector) crash(k crashpoint.Kind, i uint64) error {
 		spb := shared.SecPB(c)
 		stores, _ := spb.Stats()
 		s.SharedCommitted[c] = int(stores)
-		s.sharedEntries[c] = spb.AppendEntries(s.sharedEntries[c][:0])
+		s.sharedJournals[c].Capture(spb)
 	}
 	s.shared.capture(k, i, shared.Controller(), nil)
 	in.shadow.advance(s.Committed, s.SharedCommitted)

@@ -38,17 +38,16 @@ func (v *VerifyResult) fail(msg string) {
 }
 
 // recoverer is the recovery state a Snapshot keeps from one crash point
-// to the next, beside its recycled stores: the controller every
-// recovery reboots onto the captured image, the late-work journal, the
-// verification scratch, and the memo on the controller's engine.
-// Each recovery overwrites all but the memo before reading it — Reboot
-// brings the controller up cold, Reset re-captures the journal — and a
-// memo hit is the hash a fresh computation returns, so recycling any of
-// it changes no finding. The snapshot's rig keeps it from one cell to
-// the next as well; reset readies it for a new cell.
+// to the next, beside its recycled stores and journal: the controller
+// every recovery reboots onto the captured image, the verification
+// scratch, and the memo on the controller's engine. Each recovery
+// overwrites all but the memo before reading it — Reboot brings the
+// controller up cold — and a memo hit is the hash a fresh computation
+// returns, so recycling any of it changes no finding. The snapshot's
+// rig keeps it from one cell to the next as well; reset readies it for
+// a new cell.
 type recoverer struct {
-	mc      *nvm.Controller
-	journal recovery.Journal
+	mc *nvm.Controller
 	verifier
 	// memo serves the recovery engine's MACs, node hashes and pads for
 	// the whole cell: consecutive crash images share almost every block,
@@ -121,8 +120,8 @@ func (s *Snapshot) boot(pm *nvm.PM, ctrs *meta.CounterStore, macs *meta.MACStore
 }
 
 // RecoverVerify boots a memory controller on the snapshot's NV image,
-// runs the scheme's post-crash late work over the battery-backed
-// entries, and then checks the recovered state four ways:
+// runs the scheme's post-crash late work over the journal's
+// battery-backed entries, and then checks the recovered state four ways:
 //
 //  1. the whole-image audit (per-block MAC, per-page BMT path, root
 //     reconstruction by replay) must come back clean;
@@ -140,19 +139,17 @@ func (s *Snapshot) boot(pm *nvm.PM, ctrs *meta.CounterStore, macs *meta.MACStore
 // failure; verification findings land in the result.
 //
 // The controller is the snapshot's own, rebooted in place (Reboot) at
-// every crash point after the first, and the journal and verification
-// scratch are recycled with it; like the stores, they are valid only
-// inside the handler call.
+// every crash point after the first, and the verification scratch is
+// recycled with it; like the stores, both are valid only inside the
+// handler call.
 func (s *Snapshot) RecoverVerify(golden map[addr.Block][addr.BlockBytes]byte) (VerifyResult, error) {
 	var res VerifyResult
 	mc, err := s.boot(s.pm, s.ctrs, s.macs, s.tree)
 	if err != nil {
 		return res, fmt.Errorf("crashsim: restore controller: %w", err)
 	}
-	res.EntriesDrained = len(s.entries)
-	j := &s.rec.journal
-	j.Reset(s.entries)
-	if _, err := recovery.DrainEntriesBudget(mc, j, nil); err != nil {
+	res.EntriesDrained = s.journal.Len()
+	if _, err := recovery.DrainEntriesBudget(mc, &s.journal, nil); err != nil {
 		// A late drain that cannot complete is a correctness finding —
 		// the battery-backed state was insufficient — not a harness bug.
 		res.fail(fmt.Sprintf("late work failed: %v", err))
@@ -184,8 +181,7 @@ func (s *Snapshot) RecoverVerifyResumable(golden map[addr.Block][addr.BlockBytes
 	// out at entry boundaries, never mid-tuple.
 	budget := energy.NewBudget((float64(budgetEntries) + 0.5) * perJ)
 
-	j := &s.rec.journal
-	j.Reset(s.entries)
+	j := &s.journal
 	_, derr := recovery.DrainEntriesBudget(mc, j, budget)
 	switch {
 	case derr == nil:

@@ -68,9 +68,6 @@ func NewSharedPlan(cfg config.Config) SharedPlan {
 	return p
 }
 
-// EpochOps returns the per-core ops per drain epoch.
-func (p SharedPlan) EpochOps() int { return p.epochOps }
-
 // Epoch returns the drain epoch containing a core's op index.
 func (p SharedPlan) Epoch(opIndex int) int { return opIndex / p.epochOps }
 
@@ -275,8 +272,8 @@ func (s *System) stepWorkers() int {
 	return w
 }
 
-// stepEpoch advances one core by up to EpochOps operations against its
-// private data path. Shared-region ops either read the frozen coherent
+// stepEpoch advances one core by up to one epoch's operations against
+// its private data path. Shared-region ops either read the frozen coherent
 // view (non-Modified lines) or defer to the barrier. Runs concurrently
 // with other cores' epochs: it touches only core-local state plus
 // read-locked stripes of the frozen shared view/directory.
@@ -408,7 +405,7 @@ func (s *System) Epochs() uint64 { return s.epochs }
 // cross-core order — ascending core id over the private SecPBs (FIFO
 // within each), then ascending core id over the shared-region SecPBs —
 // and settles every controller. This is the live-system form of the
-// recovery replay order recovery.DrainSystemEntries seals.
+// recovery replay order recovery.SystemJournal seals.
 func (s *System) CrashDrainAll() (int, error) {
 	total := 0
 	for id, c := range s.cores {

@@ -80,7 +80,7 @@ func FuzzBufferModel(f *testing.F) {
 				off := (int(vb>>2) * size) % (addr.BlockBytes - size + 1)
 				val := uint64(vb) * 0x0101010101010101
 				wantAlloc, wantFull := ref.write(b, off, size, val)
-				e, gotAlloc, err := impl.Write(b, off, size, val, nil)
+				e, gotAlloc, err := impl.WriteInit(0, b, off, size, val, nil)
 				if wantFull {
 					if err == nil {
 						t.Fatalf("step %d: write into full buffer accepted", i)

@@ -89,7 +89,7 @@ func TestBufferMatchesReferenceModel(t *testing.T) {
 			off := r.Intn(addr.BlockBytes-size+1) &^ (size - 1)
 			val := r.Uint64()
 			wantAlloc, wantFull := ref.write(b, off, size, val)
-			e, gotAlloc, err := impl.Write(b, off, size, val, nil)
+			e, gotAlloc, err := impl.WriteInit(0, b, off, size, val, nil)
 			if wantFull {
 				if err == nil {
 					t.Fatalf("step %d: impl accepted write into full buffer", step)

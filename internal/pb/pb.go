@@ -246,31 +246,14 @@ func (b *Buffer[E]) Lookup(block addr.Block) *Entry[E] {
 	return b.idx.get(block)
 }
 
-// Write coalesces a store of size bytes of val at byte offset off within
-// the block. If the block has no entry one is allocated, initialized
-// from fetch (the block's current contents, since the buffer is
-// memory-side and must merge partial writes); allocated reports this.
-// Write fails with ErrFull when allocation is needed but no space is
-// left — the caller must drain first.
-func (b *Buffer[E]) Write(block addr.Block, off, size int, val uint64, fetch func() [addr.BlockBytes]byte) (entry *Entry[E], allocated bool, err error) {
-	return b.WriteFor(0, block, off, size, val, fetch)
-}
-
-// WriteFor is Write with an explicit address-space tag for the
-// allocating process; a coalescing write does not re-tag the entry.
-func (b *Buffer[E]) WriteFor(asid uint16, block addr.Block, off, size int, val uint64, fetch func() [addr.BlockBytes]byte) (entry *Entry[E], allocated bool, err error) {
-	var init *[addr.BlockBytes]byte
-	if fetch != nil {
-		data := fetch()
-		init = &data
-	}
-	return b.WriteInit(asid, block, off, size, val, init)
-}
-
-// WriteInit is WriteFor without the closure: init, if non-nil, points at
-// the block's current contents, copied only when a new entry is
-// allocated. Callers on the per-store hot path use this form so no
-// closure (and no captured 64-byte snapshot) escapes per store.
+// WriteInit coalesces a store of size bytes of val at byte offset off
+// within the block. If the block has no entry one is allocated, tagged
+// with the allocating process's address space asid, and initialized
+// from init, if non-nil (the block's current contents, since the
+// buffer is memory-side and must merge partial writes; copied only on
+// allocation); allocated reports this. A coalescing write does not
+// re-tag the entry. WriteInit fails with ErrFull when allocation is
+// needed but no space is left — the caller must drain first.
 func (b *Buffer[E]) WriteInit(asid uint16, block addr.Block, off, size int, val uint64, init *[addr.BlockBytes]byte) (entry *Entry[E], allocated bool, err error) {
 	if off < 0 || size <= 0 || size > 8 || off+size > addr.BlockBytes {
 		return nil, false, fmt.Errorf("pb: invalid write off=%d size=%d", off, size)

@@ -33,7 +33,7 @@ func TestNewValidation(t *testing.T) {
 func TestWriteAllocatesAndCoalesces(t *testing.T) {
 	b := newBuf(t, 4)
 	blk := addr.BlockOf(0x1000)
-	e, allocated, err := b.Write(blk, 0, 8, 0x1122334455667788, nil)
+	e, allocated, err := b.WriteInit(0, blk, 0, 8, 0x1122334455667788, nil)
 	if err != nil || !allocated {
 		t.Fatalf("first write: alloc=%v err=%v", allocated, err)
 	}
@@ -41,7 +41,7 @@ func TestWriteAllocatesAndCoalesces(t *testing.T) {
 		t.Error("little-endian merge wrong")
 	}
 	// Second store to same block coalesces.
-	e2, allocated, err := b.Write(blk, 8, 4, 0xAABBCCDD, nil)
+	e2, allocated, err := b.WriteInit(0, blk, 8, 4, 0xAABBCCDD, nil)
 	if err != nil || allocated {
 		t.Fatalf("coalescing write: alloc=%v err=%v", allocated, err)
 	}
@@ -65,7 +65,7 @@ func TestWriteFetchesInitialContents(t *testing.T) {
 	for i := range init {
 		init[i] = 0xEE
 	}
-	e, _, err := b.Write(addr.BlockOf(0x40), 4, 1, 0x07, func() [addr.BlockBytes]byte { return init })
+	e, _, err := b.WriteInit(0, addr.BlockOf(0x40), 4, 1, 0x07, &init)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWriteValidation(t *testing.T) {
 	b := newBuf(t, 4)
 	cases := []struct{ off, size int }{{-1, 8}, {0, 0}, {0, 9}, {60, 8}}
 	for _, c := range cases {
-		if _, _, err := b.Write(addr.BlockOf(0), c.off, c.size, 0, nil); err == nil {
+		if _, _, err := b.WriteInit(0, addr.BlockOf(0), c.off, c.size, 0, nil); err == nil {
 			t.Errorf("off=%d size=%d accepted", c.off, c.size)
 		}
 	}
@@ -86,17 +86,17 @@ func TestWriteValidation(t *testing.T) {
 
 func TestFullReturnsErrFull(t *testing.T) {
 	b := newBuf(t, 2)
-	b.Write(addr.BlockOf(0x000), 0, 8, 1, nil)
-	b.Write(addr.BlockOf(0x040), 0, 8, 2, nil)
+	b.WriteInit(0, addr.BlockOf(0x000), 0, 8, 1, nil)
+	b.WriteInit(0, addr.BlockOf(0x040), 0, 8, 2, nil)
 	if !b.Full() {
 		t.Fatal("buffer not full after capacity allocations")
 	}
 	// Coalescing write still works when full.
-	if _, _, err := b.Write(addr.BlockOf(0x000), 8, 8, 3, nil); err != nil {
+	if _, _, err := b.WriteInit(0, addr.BlockOf(0x000), 8, 8, 3, nil); err != nil {
 		t.Errorf("coalescing write failed on full buffer: %v", err)
 	}
 	// New allocation fails.
-	_, _, err := b.Write(addr.BlockOf(0x080), 0, 8, 4, nil)
+	_, _, err := b.WriteInit(0, addr.BlockOf(0x080), 0, 8, 4, nil)
 	if !errors.Is(err, ErrFull) {
 		t.Errorf("err = %v, want ErrFull", err)
 	}
@@ -105,12 +105,12 @@ func TestFullReturnsErrFull(t *testing.T) {
 func TestWatermarks(t *testing.T) {
 	b := newBuf(t, 8) // hi = 6, lo = 2
 	for i := 0; i < 5; i++ {
-		b.Write(addr.FromIndex(uint64(i)), 0, 8, 0, nil)
+		b.WriteInit(0, addr.FromIndex(uint64(i)), 0, 8, 0, nil)
 	}
 	if b.AboveHigh() {
 		t.Error("above high at 5/8")
 	}
-	b.Write(addr.FromIndex(5), 0, 8, 0, nil)
+	b.WriteInit(0, addr.FromIndex(5), 0, 8, 0, nil)
 	if !b.AboveHigh() {
 		t.Error("not above high at 6/8")
 	}
@@ -126,7 +126,7 @@ func TestDrainOldestFIFO(t *testing.T) {
 	b := newBuf(t, 4)
 	blocks := []addr.Block{addr.FromIndex(3), addr.FromIndex(1), addr.FromIndex(2)}
 	for _, blk := range blocks {
-		b.Write(blk, 0, 8, 0, nil)
+		b.WriteInit(0, blk, 0, 8, 0, nil)
 	}
 	for i, want := range blocks {
 		e := b.DrainOldest()
@@ -141,8 +141,8 @@ func TestDrainOldestFIFO(t *testing.T) {
 
 func TestRemoveSkipsStaleFIFO(t *testing.T) {
 	b := newBuf(t, 4)
-	b.Write(addr.FromIndex(1), 0, 8, 0, nil)
-	b.Write(addr.FromIndex(2), 0, 8, 0, nil)
+	b.WriteInit(0, addr.FromIndex(1), 0, 8, 0, nil)
+	b.WriteInit(0, addr.FromIndex(2), 0, 8, 0, nil)
 	if e := b.Remove(addr.FromIndex(1)); e == nil || e.Block != addr.FromIndex(1) {
 		t.Fatal("Remove failed")
 	}
@@ -159,9 +159,9 @@ func TestRemoveSkipsStaleFIFO(t *testing.T) {
 func TestReallocationAfterDrainIsNewEntry(t *testing.T) {
 	b := newBuf(t, 4)
 	blk := addr.FromIndex(9)
-	b.Write(blk, 0, 8, 1, nil)
+	b.WriteInit(0, blk, 0, 8, 1, nil)
 	b.DrainOldest()
-	e, allocated, err := b.Write(blk, 0, 8, 2, nil)
+	e, allocated, err := b.WriteInit(0, blk, 0, 8, 2, nil)
 	if err != nil || !allocated {
 		t.Fatalf("realloc: alloc=%v err=%v", allocated, err)
 	}
@@ -173,10 +173,10 @@ func TestReallocationAfterDrainIsNewEntry(t *testing.T) {
 func TestNWPE(t *testing.T) {
 	b := newBuf(t, 4)
 	blk1, blk2 := addr.FromIndex(1), addr.FromIndex(2)
-	b.Write(blk1, 0, 8, 0, nil)
-	b.Write(blk1, 8, 8, 0, nil)
-	b.Write(blk1, 16, 8, 0, nil) // 3 writes
-	b.Write(blk2, 0, 8, 0, nil)  // 1 write
+	b.WriteInit(0, blk1, 0, 8, 0, nil)
+	b.WriteInit(0, blk1, 8, 8, 0, nil)
+	b.WriteInit(0, blk1, 16, 8, 0, nil) // 3 writes
+	b.WriteInit(0, blk2, 0, 8, 0, nil)  // 1 write
 	if b.NWPE() != 0 {
 		t.Error("NWPE counted resident entries")
 	}
@@ -199,10 +199,10 @@ func entries[E any](b *Buffer[E]) []*Entry[E] {
 func TestWalkVisitsReallocatedBlockOnce(t *testing.T) {
 	b := newBuf(t, 4)
 	for _, i := range []uint64{1, 2, 3} {
-		b.Write(addr.FromIndex(i), 0, 8, i, nil)
+		b.WriteInit(0, addr.FromIndex(i), 0, 8, i, nil)
 	}
 	b.Remove(addr.FromIndex(1))
-	b.Write(addr.FromIndex(1), 0, 8, 9, nil)
+	b.WriteInit(0, addr.FromIndex(1), 0, 8, 9, nil)
 	var got []addr.Block
 	for _, e := range entries(b) {
 		got = append(got, e.Block)
@@ -224,7 +224,7 @@ func TestWalkVisitsReallocatedBlockOnce(t *testing.T) {
 func TestEntriesOldestFirst(t *testing.T) {
 	b := newBuf(t, 4)
 	for i := 0; i < 3; i++ {
-		b.Write(addr.FromIndex(uint64(10-i)), 0, 8, 0, nil)
+		b.WriteInit(0, addr.FromIndex(uint64(10-i)), 0, 8, 0, nil)
 	}
 	es := entries(b)
 	if len(es) != 3 {
@@ -239,9 +239,9 @@ func TestEntriesOldestFirst(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	b := newBuf(t, 4)
-	b.Write(addr.FromIndex(1), 0, 8, 0, nil)
-	b.Write(addr.FromIndex(1), 0, 8, 0, nil)
-	b.Write(addr.FromIndex(2), 0, 8, 0, nil)
+	b.WriteInit(0, addr.FromIndex(1), 0, 8, 0, nil)
+	b.WriteInit(0, addr.FromIndex(1), 0, 8, 0, nil)
+	b.WriteInit(0, addr.FromIndex(2), 0, 8, 0, nil)
 	b.DrainOldest()
 	allocs, writes, drains := b.Stats()
 	if allocs != 2 || writes != 3 || drains != 1 {
@@ -258,7 +258,7 @@ func TestExtPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, _ := b.Write(addr.FromIndex(1), 0, 8, 0, nil)
+	e, _, _ := b.WriteInit(0, addr.FromIndex(1), 0, 8, 0, nil)
 	e.Ext.counter = 42
 	e.Ext.valid = true
 	if got := b.Lookup(addr.FromIndex(1)); got.Ext.counter != 42 || !got.Ext.valid {
@@ -269,9 +269,9 @@ func TestExtPayload(t *testing.T) {
 func BenchmarkWriteCoalesce(b *testing.B) {
 	buf, _ := New[noExt](32, 0.75, 0.25)
 	blk := addr.FromIndex(1)
-	buf.Write(blk, 0, 8, 0, nil)
+	buf.WriteInit(0, blk, 0, 8, 0, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Write(blk, i%8*8, 8, uint64(i), nil)
+		buf.WriteInit(0, blk, i%8*8, 8, uint64(i), nil)
 	}
 }

@@ -170,7 +170,8 @@ func RunHealCell(scheme config.Scheme, wl string, opts HealOptions) (HealCell, e
 	mc := e.Controller()
 
 	// Crash: drain the battery-backed late work through budgeted boots.
-	j := NewJournal(e.SecPB().AppendEntries(nil))
+	var j Journal
+	j.Capture(e.SecPB())
 	for !j.Complete() {
 		var budget *energy.Budget
 		if opts.BudgetEntries > 0 {
@@ -180,7 +181,7 @@ func RunHealCell(scheme config.Scheme, wl string, opts HealOptions) (HealCell, e
 			}
 			budget = energy.NewBudget(opts.BudgetEntries * perJ)
 		}
-		_, derr := DrainEntriesBudget(mc, j, budget)
+		_, derr := DrainEntriesBudget(mc, &j, budget)
 		cell.Boots++
 		if derr == nil {
 			break

@@ -35,9 +35,9 @@ type Journal struct {
 	entrySum uint64
 	sum      uint64
 	// fresh reports that entrySum was just computed from the entries by
-	// Reset and nothing has validated, tampered or resumed the journal
-	// since: the first Validate after a capture may then fold entrySum
-	// instead of rehashing the same entries again.
+	// a capture (Reset or Capture) and nothing has validated, tampered
+	// or resumed the journal since: the first Validate after a capture
+	// may then fold entrySum instead of rehashing the same entries again.
 	fresh bool
 }
 
@@ -52,24 +52,39 @@ func NewJournal(entries []core.Entry) *Journal {
 // Reset re-captures the journal over entries exactly as NewJournal
 // does — copied, cursor at zero, freshly sealed — reusing the journal's
 // entry storage, so a caller recovering crash point after crash point
-// keeps one journal.
+// keeps one journal. entries may be a prefix of the journal's own
+// Entries.
 func (j *Journal) Reset(entries []core.Entry) {
 	j.entries = append(j.entries[:0], entries...)
+	j.captured()
+}
+
+// Capture is Reset over spb's battery-backed entries at this instant
+// (core.SecPB.AppendEntries), copied straight into the journal's
+// storage: what a power failure leaves the buffer's battery to drain.
+func (j *Journal) Capture(spb *core.SecPB) {
+	j.entries = spb.AppendEntries(j.entries[:0])
+	j.captured()
+}
+
+// captured seals a new capture with the cursor at zero.
+func (j *Journal) captured() {
 	j.done = 0
 	j.sweepDone = false
-	j.entrySum = hashEntries(seal.Offset, j.entries)
+	j.entrySum = hashEntries(j.entries)
 	j.fresh = true
 	j.seal()
 }
+
+// Entries returns the journaled entries in drain order, valid until
+// the next capture. Callers must not modify them.
+func (j *Journal) Entries() []core.Entry { return j.entries }
 
 // Len returns the total number of journaled entries.
 func (j *Journal) Len() int { return len(j.entries) }
 
 // Done returns how many entries have completed their tuple.
 func (j *Journal) Done() int { return j.done }
-
-// Remaining returns how many entries still owe late work.
-func (j *Journal) Remaining() int { return len(j.entries) - j.done }
 
 // Complete reports whether every entry drained and the closing BMT
 // sweep committed.
@@ -81,11 +96,11 @@ func (j *Journal) checksum(entrySum uint64) uint64 {
 	return seal.AddU64(h, boolBits(j.sweepDone))
 }
 
-// hashEntries extends h over the entry count and every entry's identity
-// and payload: block, data, coalescing metadata, and the prepared-tuple
+// hashEntries digests the entry count and every entry's identity and
+// payload: block, data, coalescing metadata, and the prepared-tuple
 // fields with their valid bits.
-func hashEntries(h uint64, entries []core.Entry) uint64 {
-	h = seal.AddU64(h, uint64(len(entries)))
+func hashEntries(entries []core.Entry) uint64 {
+	h := seal.AddU64(seal.Offset, uint64(len(entries)))
 	for i := range entries {
 		e := &entries[i]
 		h = seal.AddU64(h, e.Block.Addr())
@@ -120,14 +135,15 @@ func (j *Journal) seal() { j.sum = j.checksum(j.entrySum) }
 // Validate recomputes the checksum from the entries themselves and
 // checks it against the seal, returning a typed *nvm.CorruptStateError
 // on mismatch. The one exception is the first validation right after
-// Reset: the capture-time digest was computed from these very entries
-// moments earlier, within the same boot, so it is folded instead of
-// rehashed. Every later validation — a resume after a nested crash, or
-// any check after Tamper — rehashes every entry.
+// a capture (Reset or Capture): the capture-time digest was computed
+// from these very entries moments earlier, within the same boot, so it
+// is folded instead of rehashed. Every later validation — a resume
+// after a nested crash, or any check after Tamper — rehashes every
+// entry.
 func (j *Journal) Validate() error {
 	entrySum := j.entrySum
 	if !j.fresh {
-		entrySum = hashEntries(seal.Offset, j.entries)
+		entrySum = hashEntries(j.entries)
 	}
 	j.fresh = false
 	if got := j.checksum(entrySum); got != j.sum {
@@ -151,37 +167,26 @@ func (j *Journal) Tamper() error {
 	return nil
 }
 
-// DrainEntries performs the post-crash late work for battery-backed
-// SecPB state captured at a crash point: every entry's memory tuple is
-// completed at the (restored) memory controller in allocation order,
-// consuming whatever prepared metadata the scheme generated early, and
-// the epoch ends with one coalesced BMT sweep — exactly the procedure
-// SecPB.CrashDrain runs on a live buffer. It is the unlimited-budget
-// form of DrainEntriesBudget.
-//
-// Entries are passed by value (a crash snapshot owns copies, not the
-// live buffer): an entry whose first drain was interrupted mid-tuple is
-// simply re-drained, and PersistBlock's stale-prepared-metadata check
-// regenerates any element the interrupted drain had built under a
+// DrainEntriesBudget performs the post-crash late work for the SecPB
+// state the journal captured at a crash point: every entry's memory
+// tuple is completed at the (restored) memory controller in allocation
+// order, consuming whatever prepared metadata the scheme generated
+// early, and the epoch ends with one coalesced BMT sweep — exactly what
+// SecPB.CrashDrain runs on a live buffer. An entry whose first drain
+// was interrupted mid-tuple is simply re-drained: PersistBlock's
+// stale-prepared-metadata check regenerates any element built under a
 // now-superseded counter.
-func DrainEntries(mc *nvm.Controller, entries []core.Entry) (nvm.Cost, error) {
-	return DrainEntriesBudget(mc, NewJournal(entries), nil)
-}
-
-// DrainEntriesBudget is DrainEntries under a battery: each entry's drain
-// first withdraws the scheme's worst-case per-entry energy (the same
-// Table V arithmetic the battery was sized with, via
-// energy.PerEntryDrainJ) from the budget. If the withdrawal fails the
-// battery is dead — the staged BMT sweep is committed (the per-entry
-// worst case covers the entry's own tree walk, so the reserve that
-// admitted the last entry also closes its sweep), the journal cursor is
-// sealed, and ErrBatteryExhausted reports the nested crash. Re-invoking
-// with the same journal — after the harness re-restores the NV image —
-// resumes at the cursor; completed work is never replayed. A nil budget
-// is wall power.
 //
-// The journal is validated before any entry is replayed; a corrupted
-// journal returns *nvm.CorruptStateError and touches nothing.
+// Each entry's drain first withdraws the scheme's worst-case per-entry
+// energy (energy.PerEntryDrainJ, the Table V arithmetic the battery was
+// sized with) from the budget; a nil budget is wall power. If the
+// withdrawal fails the battery is dead: the staged BMT sweep is
+// committed (the reserve that admitted the last entry covers its tree
+// walk), the cursor is sealed, and ErrBatteryExhausted reports the
+// nested crash. Re-invoking with the same journal — after the harness
+// re-restores the NV image — resumes at the cursor. The journal is
+// validated before any entry is replayed; a corrupted journal returns
+// *nvm.CorruptStateError and touches nothing.
 func DrainEntriesBudget(mc *nvm.Controller, j *Journal, budget *energy.Budget) (total nvm.Cost, err error) {
 	if err := j.Validate(); err != nil {
 		return total, err

@@ -116,7 +116,7 @@ func TestBudgetedDrainMatchesUnbudgeted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	costA, err := DrainEntries(mcA, entries)
+	costA, err := DrainEntriesBudget(mcA, NewJournal(entries), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,29 +63,14 @@ func TestSystemFaultSweep(t *testing.T) {
 
 			// Whole-socket recovery: restore every shard and drain in the
 			// sealed canonical order.
-			restore := func(mc *nvm.Controller) *nvm.Controller {
-				t.Helper()
-				r, err := nvm.Restore(mc.Config(), key, mc.PM().Snapshot(), mc.Counters().Snapshot(),
-					mc.MACs().Snapshot(), mc.Tree().Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r
-			}
-			var parts []CoreEntries
-			var shards []*nvm.Controller
-			for c := 0; c < sys.Cores(); c++ {
-				mc := restore(sys.Core(c).Controller())
-				shards = append(shards, mc)
-				parts = append(parts, CoreEntries{Core: c, MC: mc, Entries: sys.Core(c).SecPB().AppendEntries(nil)})
-			}
-			sharedMC := restore(sys.Shared().Controller())
-			shards = append(shards, sharedMC)
-			for c := 0; c < sys.Cores(); c++ {
-				parts = append(parts, CoreEntries{Core: c, MC: sharedMC, Entries: sys.Shared().SecPB(c).AppendEntries(nil)})
-			}
-			if _, err := DrainSystemEntries(parts, nil); err != nil {
+			j := captureSystem(t, sys, key)
+			if _, err := j.Drain(nil); err != nil {
 				t.Fatalf("system drain under %s faults: %v", mode.name, err)
+			}
+			// The private shards, then the one shared controller.
+			var shards []*nvm.Controller
+			for _, p := range j.parts[:sys.Cores()+1] {
+				shards = append(shards, p.mc)
 			}
 
 			// Post-crash decay and triage, shard by shard.

@@ -6,17 +6,18 @@ import (
 	"testing"
 
 	"secpb/internal/config"
+	"secpb/internal/core"
 	"secpb/internal/engine"
 	"secpb/internal/nvm"
 	"secpb/internal/workload"
 )
 
-// systemSnapshot runs a 2-core System and captures, per battery-backed
-// buffer, the canonical CoreEntries parts over freshly restored
-// controllers — the state a whole-socket recovery boot sees. It also
-// returns the live System so tests can compare against its own
-// CrashDrainAll image.
-func systemSnapshot(t *testing.T) (*engine.System, []CoreEntries) {
+// systemSnapshot runs a 2-core System and seals, over freshly restored
+// controllers, a SystemJournal whose parts journal every battery-backed
+// buffer in canonical order — the state a whole-socket recovery boot
+// sees. It also returns the live System so tests can compare against
+// its own CrashDrainAll image.
+func systemSnapshot(t *testing.T) (*engine.System, *SystemJournal) {
 	t.Helper()
 	prof, err := workload.ByName("gromacs")
 	if err != nil {
@@ -32,7 +33,23 @@ func systemSnapshot(t *testing.T) (*engine.System, []CoreEntries) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
+	j := captureSystem(t, sys, key)
+	pending := 0
+	for _, p := range j.parts {
+		pending += p.journal.Len()
+	}
+	if pending == 0 {
+		t.Fatal("run left no pending entries; recovery test needs late work")
+	}
+	return sys, j
+}
 
+// captureSystem seals a SystemJournal over sys as a crash would find
+// it: each private SecPB's journal draining into a restored copy of
+// its core's shard, then each shared-region SecPB's journal draining
+// into ONE restored copy of the shared controller.
+func captureSystem(t *testing.T, sys *engine.System, key []byte) *SystemJournal {
+	t.Helper()
 	restore := func(mc *nvm.Controller) *nvm.Controller {
 		t.Helper()
 		r, err := nvm.Restore(mc.Config(), key, mc.PM().Snapshot(), mc.Counters().Snapshot(),
@@ -42,66 +59,68 @@ func systemSnapshot(t *testing.T) (*engine.System, []CoreEntries) {
 		}
 		return r
 	}
-
-	var parts []CoreEntries
+	capture := func(spb *core.SecPB) *Journal {
+		j := new(Journal)
+		j.Capture(spb)
+		return j
+	}
+	j := new(SystemJournal)
+	j.Reset()
 	for c := 0; c < sys.Cores(); c++ {
 		eng := sys.Core(c)
-		parts = append(parts, CoreEntries{
-			Core:    c,
-			MC:      restore(eng.Controller()),
-			Entries: eng.SecPB().AppendEntries(nil),
-		})
+		j.Add(c, restore(eng.Controller()), capture(eng.SecPB()))
 	}
-	// The shared region: both cores' shared-SecPBs drain into ONE
-	// restored controller, in ascending core order after the privates.
 	sharedMC := restore(sys.Shared().Controller())
 	for c := 0; c < sys.Cores(); c++ {
-		parts = append(parts, CoreEntries{
-			Core:    c,
-			MC:      sharedMC,
-			Entries: sys.Shared().SecPB(c).AppendEntries(nil),
-		})
+		j.Add(c, sharedMC, capture(sys.Shared().SecPB(c)))
 	}
-	pending := 0
-	for _, p := range parts {
-		pending += len(p.Entries)
+	return j
+}
+
+// pmWrites returns the PM writes of every part's controller, in part
+// order.
+func pmWrites(j *SystemJournal) []uint64 {
+	var w []uint64
+	for _, p := range j.parts {
+		_, n := p.mc.PM().Stats()
+		w = append(w, n)
 	}
-	if pending == 0 {
-		t.Fatal("run left no pending entries; recovery test needs late work")
-	}
-	return sys, parts
+	return w
 }
 
 // TestDrainSystemCanonical: replaying a whole-socket snapshot in
 // canonical order yields, shard by shard, exactly the PM image a live
 // battery-backed CrashDrainAll produces, and every shard audits clean.
 func TestDrainSystemCanonical(t *testing.T) {
-	sys, parts := systemSnapshot(t)
-	if _, err := DrainSystemEntries(parts, nil); err != nil {
+	sys, j := systemSnapshot(t)
+	if _, err := j.Drain(nil); err != nil {
 		t.Fatalf("canonical system drain: %v", err)
+	}
+	if j.Drained() != len(j.parts) {
+		t.Fatalf("drain left the cursor at %d of %d", j.Drained(), len(j.parts))
 	}
 	if _, err := sys.CrashDrainAll(); err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < sys.Cores(); c++ {
 		live := sys.Core(c).Controller().PM().Snapshot()
-		rec := parts[c].MC.PM().Snapshot()
+		rec := j.parts[c].mc.PM().Snapshot()
 		if !reflect.DeepEqual(live, rec) {
 			t.Fatalf("core %d: recovered PM image differs from live crash drain", c)
 		}
 	}
 	liveShared := sys.Shared().Controller().PM().Snapshot()
-	recShared := parts[sys.Cores()].MC.PM().Snapshot()
+	recShared := j.parts[sys.Cores()].mc.PM().Snapshot()
 	if !reflect.DeepEqual(liveShared, recShared) {
 		t.Fatal("shared region: recovered PM image differs from live crash drain")
 	}
-	for i, p := range parts {
-		rep, err := AuditImage(p.MC)
+	for i, p := range j.parts {
+		rep, err := AuditImage(p.mc)
 		if err != nil {
 			t.Fatalf("part %d audit: %v", i, err)
 		}
 		if !rep.Clean() {
-			t.Fatalf("part %d (core %d) audit not clean: %v", i, p.Core, rep)
+			t.Fatalf("part %d (core %d) audit not clean: %v", i, p.core, rep)
 		}
 	}
 }
@@ -111,14 +130,15 @@ func TestDrainSystemCanonical(t *testing.T) {
 // sealed canonical one must surface as a typed corruption error before
 // an entry drains out of turn.
 func TestDrainSystemPermutedOrderFails(t *testing.T) {
-	_, parts := systemSnapshot(t)
+	_, j := systemSnapshot(t)
+	before := pmWrites(j)
 	permutations := [][]int{
 		{1, 0, 2, 3}, // private cores swapped
 		{2, 3, 0, 1}, // shared region before private
 		{3, 2, 1, 0}, // full reversal
 	}
 	for _, order := range permutations {
-		_, err := DrainSystemEntries(parts, order)
+		_, err := j.Drain(order)
 		if err == nil {
 			t.Fatalf("order %v: permuted replay did not fail", order)
 		}
@@ -127,14 +147,16 @@ func TestDrainSystemPermutedOrderFails(t *testing.T) {
 			t.Fatalf("order %v: want *nvm.CorruptStateError, got %v", order, err)
 		}
 	}
+	if after := pmWrites(j); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused replays wrote to PM: writes %v -> %v", before, after)
+	}
 }
 
 // TestDrainSystemCursorEnforced: the journal's cursor survives partial
 // replay — after draining part 0, offering part 0 again or part 2 next
 // both fail, while part 1 proceeds.
 func TestDrainSystemCursorEnforced(t *testing.T) {
-	_, parts := systemSnapshot(t)
-	j := NewSystemJournal(parts)
+	_, j := systemSnapshot(t)
 	if _, err := j.DrainPart(0); err != nil {
 		t.Fatal(err)
 	}
@@ -153,24 +175,55 @@ func TestDrainSystemCursorEnforced(t *testing.T) {
 	}
 }
 
-// TestSystemJournalTamperDetected: entry payload damage after sealing is
-// caught before any drain.
+// TestSystemJournalTamperDetected: entry payload damage in a part's
+// journal after sealing is caught before any of that part's entries
+// drain.
 func TestSystemJournalTamperDetected(t *testing.T) {
-	_, parts := systemSnapshot(t)
-	j := NewSystemJournal(parts)
-	tampered := false
-	for i := range j.parts {
-		if len(j.parts[i].Entries) > 0 {
-			j.parts[i].Entries[0].Data[0] ^= 1
-			tampered = true
-			break
+	_, j := systemSnapshot(t)
+	k := 0
+	for k < len(j.parts) && j.parts[k].journal.Len() == 0 {
+		k++
+	}
+	for i := 0; i < k; i++ {
+		if _, err := j.DrainPart(i); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !tampered {
-		t.Fatal("no entries to tamper")
+	if err := j.parts[k].journal.Tamper(); err != nil {
+		t.Fatal(err)
 	}
+	before := pmWrites(j)
 	var cerr *nvm.CorruptStateError
-	if _, err := j.DrainPart(0); !errors.As(err, &cerr) {
+	if _, err := j.DrainPart(k); !errors.As(err, &cerr) {
 		t.Fatalf("tampered journal drained: %v", err)
+	}
+	if after := pmWrites(j); !reflect.DeepEqual(before, after) {
+		t.Fatalf("tampered part wrote to PM: writes %v -> %v", before, after)
+	}
+}
+
+// TestSystemJournalPartSwapDetected: swapping two parts' journals after
+// sealing — each part keeping its core id and controller, so the entries
+// would drain into the wrong shard — is refused before any entry drains.
+// The core ids alone cannot catch it; the seal must cover each part's
+// journal.
+func TestSystemJournalPartSwapDetected(t *testing.T) {
+	_, j := systemSnapshot(t)
+	a, b := &j.parts[0], &j.parts[1]
+	if a.journal.Len() == 0 && b.journal.Len() == 0 {
+		t.Fatal("both private journals empty; swap undetectable and harmless")
+	}
+	a.journal, b.journal = b.journal, a.journal
+	before := pmWrites(j)
+	_, err := j.Drain(nil)
+	var cerr *nvm.CorruptStateError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("swapped journals drained: %v", err)
+	}
+	if after := pmWrites(j); !reflect.DeepEqual(before, after) {
+		t.Fatalf("swapped journals wrote to PM: writes %v -> %v", before, after)
+	}
+	if j.Drained() != 0 {
+		t.Fatalf("refused drain moved the cursor to %d", j.Drained())
 	}
 }

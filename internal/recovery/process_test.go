@@ -26,13 +26,14 @@ func twoProcessSecPB(t *testing.T, scheme config.Scheme) (*core.SecPB, *nvm.Cont
 	}
 	ref1 := map[addr.Block][addr.BlockBytes]byte{}
 	ref2 := map[addr.Block][addr.BlockBytes]byte{}
+	var cost core.AcceptCost
 	for i := uint64(0); i < 5; i++ {
 		b1 := addr.FromIndex(0x1000 + i)
 		b2 := addr.FromIndex(0x2000 + i)
-		if _, err := spb.AcceptStoreFor(1, b1, 0, 8, 0xA0+i, nil); err != nil {
+		if err := spb.AcceptStoreInit(1, b1, 0, 8, 0xA0+i, nil, 0, &cost); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := spb.AcceptStoreFor(2, b2, 0, 8, 0xB0+i, nil); err != nil {
+		if err := spb.AcceptStoreInit(2, b2, 0, 8, 0xB0+i, nil, 0, &cost); err != nil {
 			t.Fatal(err)
 		}
 		var d1, d2 [addr.BlockBytes]byte

@@ -111,7 +111,7 @@ func (r *TriageReport) String() string {
 // replaying all persisted counter lines (RootConsistent). Triage reads
 // through Peek — a damaged image must not be further disturbed by the
 // fault model — and never mutates the image. Run the scheme's late work
-// (DrainEntries) first; triage judges the drained image.
+// (DrainEntriesBudget) first; triage judges the drained image.
 func Triage(mc *nvm.Controller) (*TriageReport, error) {
 	if !mc.Secure() {
 		return nil, fmt.Errorf("recovery: triage requires a secure controller")

@@ -25,8 +25,9 @@ go test -race ./...
 # recycle, so a capture allocates less than one table page), of
 # crash-point recovery (the controller reboots in place, so RecoverVerify
 # allocates under 8 KiB per point, and a whole-socket
-# SystemSnapshot.RecoverVerify, whose shards reboot the same way, under
-# 32 KiB per point per core), of a whole crash cell on a recycled
+# SystemSnapshot.RecoverVerify, whose shards reboot the same way and
+# drain each buffer from the journal it was captured into, under
+# 16 KiB per point per core), of a whole crash cell on a recycled
 # rig (engine, stores and recovery state reset in place, so a warm cell
 # allocates under 128 KiB), of RunBatch (zero allocations per warm call:
 # the engine keeps one batch buffer across calls) and of the cache
@@ -59,6 +60,20 @@ go test -run Fuzz ./internal/crypto/... ./internal/ptable/... \
 tmp=$(mktemp -d)
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill -9 "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+
+# Examples gate: every examples/* program runs to completion. Each one
+# exits non-zero when one of its own checks fails, and examples/multicore
+# is the only runnable demo of the whole-socket recovery journal; all
+# six together take about a second.
+go build -o "$tmp/examples/" ./examples/...
+for ex in "$tmp"/examples/*; do
+    if ! "$ex" > "$tmp/example.out" 2>&1; then
+        echo "ERROR: example $(basename "$ex") failed:" >&2
+        cat "$tmp/example.out" >&2
+        exit 1
+    fi
+done
+echo "every example ran and passed its checks"
 go build -o "$tmp/secpb-bench" ./cmd/secpb-bench
 "$tmp/secpb-bench" -exp table4 -ops 5000 -parallel 1 -memo=false \
     > "$tmp/table4_serial.txt" 2>&1
