@@ -166,12 +166,6 @@ func (s *System) makeRoom(id int) error {
 	return nil
 }
 
-// Store performs a write by core id (compatibility wrapper).
-func (s *System) Store(id int, byteAddr uint64, size int, val uint64) error {
-	_, err := s.StoreEx(id, byteAddr, size, val)
-	return err
-}
-
 // StoreEx performs a write by core id through the MESI directory — the
 // two-situation protocol of Section IV.C plus normal SecPB acceptance —
 // and returns its timing charge. Serialized (barrier-only in
@@ -233,12 +227,6 @@ func (s *System) StoreEx(id int, byteAddr uint64, size int, val uint64) (Cost, e
 	}
 	cc.Cycles += s.cfg.SecPBAccessCyc
 	return cc, nil
-}
-
-// Load performs a read by core id (compatibility wrapper).
-func (s *System) Load(id int, byteAddr uint64) ([addr.BlockBytes]byte, error) {
-	v, _, err := s.LoadEx(id, byteAddr)
-	return v, err
 }
 
 // LoadEx performs a read by core id through the directory. If another
@@ -328,24 +316,4 @@ func (s *System) CrashDrainAll() (int, error) {
 	}
 	s.dir.DemoteAll()
 	return total, nil
-}
-
-// VerifyRecovery fetches every written block from PM after a crash
-// drain and compares it with the coherent view.
-func (s *System) VerifyRecovery() error {
-	var firstErr error
-	s.view.Range(func(idx uint64, want [addr.BlockBytes]byte) bool {
-		block := addr.FromIndex(idx)
-		got, _, err := s.mc.FetchBlock(block)
-		if err != nil {
-			firstErr = fmt.Errorf("coherence: block %#x: %w", block.Addr(), err)
-			return false
-		}
-		if got != want {
-			firstErr = fmt.Errorf("coherence: block %#x: plaintext mismatch after recovery", block.Addr())
-			return false
-		}
-		return true
-	})
-	return firstErr
 }

@@ -8,6 +8,7 @@ import (
 	"secpb/internal/bmt"
 	"secpb/internal/config"
 	"secpb/internal/crypto"
+	"secpb/internal/recovery"
 	"secpb/internal/workload"
 	"secpb/internal/xrand"
 )
@@ -154,13 +155,13 @@ func tamperImage(t *testing.T, snap *Snapshot, kind string) string {
 // the memo with the pads, tags and digests of a healthy image; every later point first damages the image in one of
 // four ways — a flipped ciphertext byte, a flipped stored MAC byte, a
 // rolled-back counter, an overwritten BMT interior node — on blocks the
-// memo has seen intact. Both runs must produce the same VerifyResult
+// memo has seen intact. Both runs must produce the same recovery.Report
 // sequence, FirstBad included, and every damaged point must fail.
 func TestRecoveryMemoTamperMatrix(t *testing.T) {
 	const warm = 40
 	for _, c := range memoCells {
 		t.Run(c.scheme.String()+"/"+c.wl, func(t *testing.T) {
-			var results [2][]VerifyResult
+			var results [2][]recovery.Report
 			perKind := make(map[string]int)
 			for mode, noMemo := range []bool{false, true} {
 				injectMemoCell(t, c.scheme, c.wl, func(snap *Snapshot, golden map[addr.Block][addr.BlockBytes]byte) error {

@@ -51,10 +51,9 @@ func (s *SystemSnapshot) NumEntries() int {
 // RecoverVerify replays the whole-socket late work in the canonical
 // sealed order and differentially verifies every shard: each private
 // memory-channel shard against its core's committed-prefix golden, the
-// shared region against the epoch-merge golden. The four per-shard
-// checks are the single-core RecoverVerify's (audit, block-set
-// equality, plaintext, tuple derivability).
-func (s *SystemSnapshot) RecoverVerify(g *SystemGolden) (VerifyResult, error) {
+// shared region against the epoch-merge golden. Each shard gets the
+// single-core RecoverVerify's four checks (recovery.Verifier.Verify).
+func (s *SystemSnapshot) RecoverVerify(g *SystemGolden) (recovery.Report, error) {
 	return s.recoverVerifyOrder(g.Priv, g.Shared, nil)
 }
 
@@ -63,14 +62,14 @@ func (s *SystemSnapshot) RecoverVerify(g *SystemGolden) (VerifyResult, error) {
 // must reject — the rejection lands as a verification failure, so a
 // matrix run that somehow tolerates out-of-order cross-core replay
 // shows up as a clean cell where a failure was demanded.
-func (s *SystemSnapshot) RecoverVerifyPermuted(g *SystemGolden, order []int) (VerifyResult, error) {
+func (s *SystemSnapshot) RecoverVerifyPermuted(g *SystemGolden, order []int) (recovery.Report, error) {
 	return s.recoverVerifyOrder(g.Priv, g.Shared, order)
 }
 
 // RecoverVerifyAgainst verifies against caller-supplied goldens (the
 // semantic negative control hands in an image built with a permuted
 // epoch-merge order).
-func (s *SystemSnapshot) RecoverVerifyAgainst(priv []map[addr.Block][addr.BlockBytes]byte, shared map[addr.Block][addr.BlockBytes]byte) (VerifyResult, error) {
+func (s *SystemSnapshot) RecoverVerifyAgainst(priv []map[addr.Block][addr.BlockBytes]byte, shared map[addr.Block][addr.BlockBytes]byte) (recovery.Report, error) {
 	return s.recoverVerifyOrder(priv, shared, nil)
 }
 
@@ -79,8 +78,8 @@ func (s *SystemSnapshot) RecoverVerifyAgainst(priv []map[addr.Block][addr.BlockB
 // ascending core id over the private shards, then ascending core id
 // over the shared-region buffers, all draining into the one shared
 // controller) and verifies each shard.
-func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockBytes]byte, shared map[addr.Block][addr.BlockBytes]byte, order []int) (VerifyResult, error) {
-	var res VerifyResult
+func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockBytes]byte, shared map[addr.Block][addr.BlockBytes]byte, order []int) (recovery.Report, error) {
+	var res recovery.Report
 	s.journal.Reset()
 	for c, p := range s.priv {
 		mc, err := p.boot(p.pm, p.ctrs, p.macs, p.tree)
@@ -100,30 +99,27 @@ func (s *SystemSnapshot) recoverVerifyOrder(priv []map[addr.Block][addr.BlockByt
 	if _, err := s.journal.Drain(order); err != nil {
 		// An out-of-order replay (journal rejection) or a drain that
 		// cannot complete is a correctness finding, not a harness bug.
-		res.fail(fmt.Sprintf("cross-core late work failed: %v", err))
+		res.Fail(fmt.Sprintf("cross-core late work failed: %v", err))
 		return res, nil
 	}
-	for c, p := range s.priv {
-		if err := res.verifyShard(p, priv[c], fmt.Sprintf("core %d", c)); err != nil {
-			return res, err
+	// Each private shard, then the shared region, is checked on its own
+	// controller; the report names the shard of the first finding.
+	for c := 0; c <= len(s.priv); c++ {
+		shard, golden, name := s.shared, shared, "shared"
+		if c < len(s.priv) {
+			shard, golden, name = s.priv[c], priv[c], fmt.Sprintf("core %d", c)
+		}
+		var part recovery.Report
+		if err := shard.rec.Verify(shard.rec.mc, golden, &part); err != nil {
+			return res, fmt.Errorf("crashsim: %s shard: %w", name, err)
+		}
+		res.BlocksChecked += part.BlocksChecked
+		res.Failures += part.Failures
+		if res.FirstBad == "" && part.FirstBad != "" {
+			res.FirstBad = name + ": " + part.FirstBad
 		}
 	}
-	return res, res.verifyShard(s.shared, shared, "shared")
-}
-
-// verifyShard runs checks 1-4 over the controller the shard's recovery
-// booted and adds the outcome to v, naming the shard in FirstBad.
-func (v *VerifyResult) verifyShard(shard *Snapshot, golden map[addr.Block][addr.BlockBytes]byte, name string) error {
-	var r VerifyResult
-	if err := shard.rec.verifyImage(shard.rec.mc, golden, &r); err != nil {
-		return fmt.Errorf("crashsim: %s shard: %w", name, err)
-	}
-	v.BlocksChecked += r.BlocksChecked
-	v.Failures += r.Failures
-	if v.FirstBad == "" && r.FirstBad != "" {
-		v.FirstBad = name + ": " + r.FirstBad
-	}
-	return nil
+	return res, nil
 }
 
 // sharedStoreRec is one shared-region store in the global epoch-merge

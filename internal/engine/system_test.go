@@ -101,37 +101,6 @@ func TestSystemInvariants(t *testing.T) {
 	}
 }
 
-// TestSystemCrashDrain: a whole-socket crash drain persists every
-// private and shared SecPB entry; afterwards the coherent view matches
-// shared PM exactly and no line remains Modified.
-func TestSystemCrashDrain(t *testing.T) {
-	prof := mustProfile(t, "gromacs")
-	cfg := config.Default().WithCores(2)
-	sys, err := NewSystem(cfg, prof, []byte("secpb-experiment-key"), 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	drained, err := sys.CrashDrainAll()
-	if err != nil {
-		t.Fatalf("CrashDrainAll: %v", err)
-	}
-	t.Logf("crash drain persisted %d entries", drained)
-	for i := 0; i < sys.Cores(); i++ {
-		if occ := sys.Core(i).Occupancy(); occ != 0 {
-			t.Fatalf("core %d still holds %d private entries after crash drain", i, occ)
-		}
-	}
-	if err := sys.Shared().VerifyRecovery(); err != nil {
-		t.Fatalf("shared region recovery mismatch: %v", err)
-	}
-	if mod := sys.Shared().Directory().Modified(); len(mod) != 0 {
-		t.Fatalf("%d lines still Modified after crash drain", len(mod))
-	}
-}
-
 // TestSystemSingleCore: a 1-core System must not engage the coherence
 // layer at all — it is the classic engine with an epoch loop around it.
 func TestSystemSingleCore(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync"
 
+	"secpb/internal/analytic"
 	"secpb/internal/config"
 	"secpb/internal/energy"
 	"secpb/internal/engine"
@@ -502,8 +503,8 @@ func Figure9(o Options) (map[string]map[string]float64, *stats.BarSeries, error)
 
 // StatsReport regenerates the Section VI.B statistics: per-benchmark
 // PPTI, NWPE, baseline IPC, and the paper's analytical IPC estimate for
-// the NoGap model (IPC ~= 1000 / (320*PPTI/NWPE + 40*PPTI)) against the
-// simulated NoGap IPC.
+// the NoGap model (analytic.Model.PaperNoGapIPC) against the simulated
+// NoGap IPC.
 func StatsReport(o Options) (*stats.Table, error) {
 	profs, err := o.profiles()
 	if err != nil {
@@ -520,10 +521,13 @@ func StatsReport(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	model := analytic.New(o.Cfg)
 	for pi, p := range profs {
 		base, ng := results[2*pi], results[2*pi+1]
-		bmtLat := float64(o.Cfg.BMTLevels) * float64(o.Cfg.MACLatency)
-		analytical := 1000 / (bmtLat*ng.PPTI/ng.NWPE + float64(o.Cfg.MACLatency)*ng.PPTI)
+		analytical, err := model.PaperNoGapIPC(analytic.Inputs{PPTI: ng.PPTI, NWPE: ng.NWPE, BaseCPI: 1 / base.IPC})
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s: %w", p.Name, err)
+		}
 		tab.AddRowStrings(p.Name,
 			fmt.Sprintf("%.1f", ng.PPTI),
 			fmt.Sprintf("%.1f", ng.NWPE),

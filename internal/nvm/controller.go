@@ -499,15 +499,9 @@ func (c *Controller) NextCounter(b addr.Block) (value uint64, cost Cost) {
 	return c.ctrs.Value(b) + 1, cost
 }
 
-// MakeOTP generates the pad for a block under the given counter.
-func (c *Controller) MakeOTP(b addr.Block, counter uint64) ([addr.BlockBytes]byte, Cost) {
-	var pad [addr.BlockBytes]byte
-	c.eng.OTPInto(&pad, b.Addr(), counter)
-	return pad, Cost{AESOps: 1}
-}
-
-// MakeOTPInto is MakeOTP writing the pad directly into dst (hot-path
-// form for per-entry early OTP generation into a SecPB entry field).
+// MakeOTPInto generates the pad for a block under the given counter
+// directly into dst (per-entry early OTP generation writes it into a
+// SecPB entry field).
 func (c *Controller) MakeOTPInto(dst *[addr.BlockBytes]byte, b addr.Block, counter uint64) Cost {
 	c.eng.OTPInto(dst, b.Addr(), counter)
 	return Cost{AESOps: 1}

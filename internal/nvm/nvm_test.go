@@ -138,7 +138,8 @@ func TestPreparedMetaSkipsWork(t *testing.T) {
 
 	// Simulate an eager scheme: precompute everything at allocation.
 	ctr, _ := c.NextCounter(b)
-	otp, _ := c.MakeOTP(b, ctr)
+	var otp [addr.BlockBytes]byte
+	c.MakeOTPInto(&otp, b, ctr)
 	var ct [addr.BlockBytes]byte
 	crypto.XOR(&ct, &data, &otp)
 	mac, _ := c.MakeMAC(b, &ct, ctr)

@@ -47,11 +47,14 @@ func AuditImage(mc *nvm.Controller) (AuditReport, error) {
 // reconstruction replays into. A caller auditing image after image (the
 // crash matrix audits one per crash point) keeps one Auditor, and every
 // audit after the first resets the replay tree in place instead of
-// building a new one. The zero value is ready; an Auditor is not safe
-// for concurrent use.
+// building a new one. After an audit it also holds the verdicts Triage
+// grades blocks by: each page's BMT path and the root replay. The zero
+// value is ready; an Auditor is not safe for concurrent use.
 type Auditor struct {
 	blocks  []addr.Block
 	pages   []uint64 // counter lines with data, ascending
+	pageOK  []bool   // per page: counters present and BMT path verified
+	rootOK  bool     // the replayed counter lines reproduce the root register
 	replay  []uint64 // the subset of pages holding counters
 	lineBuf []byte
 	tree    *bmt.Tree
@@ -86,10 +89,12 @@ func (a *Auditor) Audit(mc *nvm.Controller) (AuditReport, error) {
 		}
 	}
 	a.replay = a.replay[:0]
+	a.pageOK = a.pageOK[:0]
 	for _, page := range a.pages {
 		rep.CounterLines++
 		line, ok := ctrs.Peek(page)
 		if !ok {
+			a.pageOK = append(a.pageOK, false)
 			rep.TreeFailures++
 			if rep.FirstBad == "" {
 				rep.FirstBad = fmt.Sprintf("page %d has data but no counters", page)
@@ -98,7 +103,9 @@ func (a *Auditor) Audit(mc *nvm.Controller) (AuditReport, error) {
 		}
 		a.replay = append(a.replay, page)
 		a.lineBuf = line.AppendBytes(a.lineBuf[:0])
-		if err := mc.Tree().Verify(page, a.lineBuf); err != nil {
+		err := mc.Tree().Verify(page, a.lineBuf)
+		a.pageOK = append(a.pageOK, err == nil)
+		if err != nil {
 			rep.TreeFailures++
 			if rep.FirstBad == "" {
 				rep.FirstBad = err.Error()
@@ -122,7 +129,7 @@ func (a *Auditor) Audit(mc *nvm.Controller) (AuditReport, error) {
 		a.lineBuf = line.AppendBytes(a.lineBuf[:0])
 		return a.lineBuf
 	})
-	if a.tree.Root() != mc.Tree().Root() {
+	if a.rootOK = a.tree.Root() == mc.Tree().Root(); !a.rootOK {
 		rep.TreeFailures++
 		if rep.FirstBad == "" {
 			rep.FirstBad = "replayed counter lines do not reproduce the root register"

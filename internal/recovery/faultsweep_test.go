@@ -77,7 +77,8 @@ func TestFaultSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				j := NewJournal(entries)
+				j := new(Journal)
+				j.Reset(entries)
 				for !j.Complete() {
 					budget := energy.NewBudget(3.5 * perJ)
 					if _, derr := DrainEntriesBudget(mc, j, budget); derr != nil && !errors.Is(derr, ErrBatteryExhausted) {

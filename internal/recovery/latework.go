@@ -41,19 +41,11 @@ type Journal struct {
 	fresh bool
 }
 
-// NewJournal captures the entries (copied; the caller's slice is not
-// retained) and seals the initial checksum.
-func NewJournal(entries []core.Entry) *Journal {
-	j := new(Journal)
-	j.Reset(entries)
-	return j
-}
-
-// Reset re-captures the journal over entries exactly as NewJournal
-// does — copied, cursor at zero, freshly sealed — reusing the journal's
-// entry storage, so a caller recovering crash point after crash point
-// keeps one journal. entries may be a prefix of the journal's own
-// Entries.
+// Reset captures the journal over entries — copied (the caller's slice
+// is not retained), cursor at zero, freshly sealed — reusing the
+// journal's entry storage, so a caller recovering crash point after
+// crash point keeps one journal. entries may be a prefix of the
+// journal's own Entries.
 func (j *Journal) Reset(entries []core.Entry) {
 	j.entries = append(j.entries[:0], entries...)
 	j.captured()

@@ -60,7 +60,8 @@ func TestBudgetedDrainResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j := NewJournal(entries)
+	j := new(Journal)
+	j.Reset(entries)
 	boots := 0
 	for !j.Complete() {
 		// 2.5 entries of reserve per boot: two full drains plus margin,
@@ -116,13 +117,16 @@ func TestBudgetedDrainMatchesUnbudgeted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	costA, err := DrainEntriesBudget(mcA, NewJournal(entries), nil)
+	jA := new(Journal)
+	jA.Reset(entries)
+	costA, err := DrainEntriesBudget(mcA, jA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var costB nvm.Cost
-	j := NewJournal(entries)
+	j := new(Journal)
+	j.Reset(entries)
 	for !j.Complete() {
 		budget := energy.NewBudget(1.5 * perJ) // one entry per boot
 		c, derr := DrainEntriesBudget(mcB, j, budget)
@@ -144,7 +148,8 @@ func TestBudgetedDrainMatchesUnbudgeted(t *testing.T) {
 // refused with a typed error before anything is drained into PM.
 func TestDrainRejectsTamperedJournal(t *testing.T) {
 	mc, entries := pendingImage(t, config.SchemeCOBCM)
-	j := NewJournal(entries)
+	j := new(Journal)
+	j.Reset(entries)
 	if err := j.Validate(); err != nil {
 		t.Fatalf("fresh journal failed validation: %v", err)
 	}
@@ -177,7 +182,8 @@ func TestResumeRejectsJournalTamperedAfterNestedCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewJournal(entries)
+	j := new(Journal)
+	j.Reset(entries)
 	_, derr := DrainEntriesBudget(mc, j, energy.NewBudget(1.5*perJ))
 	if !errors.Is(derr, ErrBatteryExhausted) {
 		t.Fatalf("one-entry budget did not exhaust: %v", derr)

@@ -100,7 +100,7 @@ func Crash(e *engine.Engine, p Policy, k CrashKind) (Observation, error) {
 	obs.DrainCycles = DrainTiming(engine.DefaultTiming(), rep)
 	obs.ReadyCycle = obs.CrashCycle + obs.DrainCycles
 	if !rep.Clean() {
-		return obs, fmt.Errorf("recovery: %s crash under %v left corrupt state: %s", k, e.SecPB().Scheme(), rep.FirstBad)
+		return obs, fmt.Errorf("recovery: %s crash under %v left corrupt state: %s", k, e.Config().Scheme, rep.FirstBad)
 	}
 	return obs, nil
 }

@@ -14,54 +14,16 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 
 	"secpb/internal/addr"
 	"secpb/internal/engine"
-	"secpb/internal/nvm"
 )
-
-// Report summarizes one crash-recovery experiment.
-type Report struct {
-	EntriesDrained  int      // SecPB entries drained on battery
-	DrainCost       nvm.Cost // work the battery paid for
-	BlocksChecked   int      // persisted blocks recovered and compared
-	PlainMismatches int      // wrong plaintext after recovery
-	VerifyFailures  int      // integrity verification failures
-	FirstBad        string   // description of the first failure, if any
-}
-
-// Clean reports whether recovery was fully successful.
-func (r Report) Clean() bool {
-	return r.PlainMismatches == 0 && r.VerifyFailures == 0
-}
-
-// String renders a summary.
-func (r Report) String() string {
-	status := "CLEAN"
-	if !r.Clean() {
-		status = "CORRUPT: " + r.FirstBad
-	}
-	return fmt.Sprintf("recovery: drained %d entries, checked %d blocks, %d plaintext mismatches, %d verify failures [%s]",
-		r.EntriesDrained, r.BlocksChecked, r.PlainMismatches, r.VerifyFailures, status)
-}
-
-// sortedBlocks returns the blocks of the program view in address order
-// so reports and iteration are deterministic.
-func sortedBlocks(mem map[addr.Block][addr.BlockBytes]byte) []addr.Block {
-	blocks := make([]addr.Block, 0, len(mem))
-	for b := range mem {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	return blocks
-}
 
 // CrashAndRecover performs the full correct procedure on a crashed
 // engine: battery-drain every SecPB entry (completing memory tuples per
-// the scheme's laziness), then recover: fetch, decrypt and verify every
-// block the crash observer is entitled to see, comparing against the
-// program's plaintext view.
+// the scheme's laziness), then recover: check the drained image against
+// the program's plaintext view of every block the crash observer is
+// entitled to see (Verifier.Verify).
 func CrashAndRecover(e *engine.Engine) (Report, error) {
 	var rep Report
 	if spb := e.SecPB(); spb != nil {
@@ -72,32 +34,7 @@ func CrashAndRecover(e *engine.Engine) (Report, error) {
 		rep.EntriesDrained = n
 		rep.DrainCost = cost
 	}
-	verify(e, &rep)
-	return rep, nil
-}
-
-// verify recovers every persisted block and fills in the report.
-func verify(e *engine.Engine, rep *Report) {
-	mc := e.Controller()
-	mem := e.Memory()
-	for _, b := range sortedBlocks(mem) {
-		want := mem[b]
-		rep.BlocksChecked++
-		got, _, err := mc.FetchBlock(b)
-		if err != nil {
-			rep.VerifyFailures++
-			if rep.FirstBad == "" {
-				rep.FirstBad = fmt.Sprintf("block %#x: %v", b.Addr(), err)
-			}
-			continue
-		}
-		if got != want {
-			rep.PlainMismatches++
-			if rep.FirstBad == "" {
-				rep.FirstBad = fmt.Sprintf("block %#x: wrong plaintext", b.Addr())
-			}
-		}
-	}
+	return rep, new(Verifier).Verify(e.Controller(), e.Memory(), &rep)
 }
 
 // GapCrash simulates the recoverability gap of Figure 1(b): a persistent
@@ -133,8 +70,7 @@ func GapCrash(e *engine.Engine) (Report, error) {
 		ct := mc.Engine().Encrypt(&entry.Data, entry.Block.Addr(), staleCtr)
 		mc.PM().Write(entry.Block, ct)
 	}
-	verify(e, &rep)
-	return rep, nil
+	return rep, new(Verifier).Verify(mc, e.Memory(), &rep)
 }
 
 // Attack identifies a post-crash tampering experiment.

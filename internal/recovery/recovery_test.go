@@ -17,6 +17,13 @@ func crashedEngine(t *testing.T, scheme config.Scheme, bench string, seed uint64
 	t.Helper()
 	cfg := config.Default().WithScheme(scheme)
 	cfg.Seed = seed
+	return runEngine(t, cfg, bench, nops)
+}
+
+// runEngine runs nops of the named benchmark under cfg, generated from
+// cfg.Seed, and returns the engine at the crash point.
+func runEngine(t *testing.T, cfg config.Config, bench string, nops uint64) *engine.Engine {
+	t.Helper()
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +32,7 @@ func crashedEngine(t *testing.T, scheme config.Scheme, bench string, seed uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := workload.NewGenerator(prof, seed, nops)
+	gen, err := workload.NewGenerator(prof, cfg.Seed, nops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestGapCrashCorrupts(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("recoverability-gap crash recovered cleanly — the gap the paper closes is not being modelled")
 	}
-	if rep.VerifyFailures == 0 {
+	if rep.Failures == 0 {
 		t.Error("gap crash produced no verification failures")
 	}
 }
@@ -238,9 +245,9 @@ func TestReportString(t *testing.T) {
 	if !strings.Contains(r.String(), "CLEAN") {
 		t.Errorf("clean report: %s", r)
 	}
-	r.VerifyFailures = 1
-	r.FirstBad = "block 0x40"
-	if !strings.Contains(r.String(), "CORRUPT") {
+	r.Fail("block 0x40")
+	r.Fail("block 0x80")
+	if r.Failures != 2 || !strings.Contains(r.String(), "2 failures [CORRUPT: block 0x40]") {
 		t.Errorf("corrupt report: %s", r)
 	}
 }

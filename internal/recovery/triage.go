@@ -2,10 +2,8 @@ package recovery
 
 import (
 	"fmt"
-	"slices"
 
 	"secpb/internal/addr"
-	"secpb/internal/bmt"
 	"secpb/internal/nvm"
 )
 
@@ -111,42 +109,35 @@ func (r *TriageReport) String() string {
 // replaying all persisted counter lines (RootConsistent). Triage reads
 // through Peek — a damaged image must not be further disturbed by the
 // fault model — and never mutates the image. Run the scheme's late work
-// (DrainEntriesBudget) first; triage judges the drained image.
+// (DrainEntriesBudget) first; triage judges the drained image. Like the
+// audit it runs, it refuses an insecure controller.
 func Triage(mc *nvm.Controller) (*TriageReport, error) {
-	if !mc.Secure() {
-		return nil, fmt.Errorf("recovery: triage requires a secure controller")
+	// The audit supplies the per-page BMT-path verdicts (shared by each
+	// page's blocks) and the image-wide root replay; its MAC verdicts are
+	// refined below into the three classes.
+	var a Auditor
+	if _, err := a.Audit(mc); err != nil {
+		return nil, err
 	}
 	eng := mc.Engine()
 	rep := &TriageReport{
 		index:          make(map[addr.Block]int),
 		recovered:      make(map[addr.Block][addr.BlockBytes]byte),
-		RootConsistent: true,
+		Pages:          len(a.pages),
+		RootConsistent: a.rootOK,
 	}
-
-	blocks := mc.PM().Blocks() // ascending address order
-
-	// Pass 1: per-page BMT path verdicts (shared by the page's blocks).
-	pageOK := make(map[uint64]bool)
-	pageList := make([]uint64, 0, 16)
-	for _, b := range blocks {
-		page := b.CounterLine()
-		if _, seen := pageOK[page]; seen {
-			continue
-		}
-		pageList = append(pageList, page)
-		line, ok := mc.Counters().Peek(page)
-		pageOK[page] = ok && mc.Tree().Verify(page, line.Bytes()) == nil
-	}
-	slices.Sort(pageList)
-	rep.Pages = len(pageList)
-	for _, page := range pageList {
-		if !pageOK[page] {
+	for _, ok := range a.pageOK {
+		if !ok {
 			rep.BadPages++
 		}
 	}
 
-	// Pass 2: per-block verdicts.
-	for _, b := range blocks {
+	// Blocks and pages both ascend, so page tracks each block's page.
+	page := 0
+	for _, b := range a.blocks {
+		for a.pages[page] != b.CounterLine() {
+			page++
+		}
 		rep.Blocks++
 		ct, _ := mc.PM().Peek(b)
 		ctr := mc.Counters().Value(b)
@@ -160,7 +151,7 @@ func Triage(mc *nvm.Controller) (*TriageReport, error) {
 		case eng.MAC(&ct, b.Addr(), ctr) != tag:
 			verdict.Class = ClassQuarantined
 			verdict.Reason = "MAC mismatch (ciphertext, counter or tag damaged)"
-		case !pageOK[b.CounterLine()]:
+		case !a.pageOK[page]:
 			verdict.Class = ClassRecoverable
 			verdict.Reason = fmt.Sprintf("BMT path for page %d fails; MAC vouches alone", b.CounterLine())
 		default:
@@ -180,28 +171,6 @@ func Triage(mc *nvm.Controller) (*TriageReport, error) {
 		}
 		rep.index[b] = len(rep.Verdicts)
 		rep.Verdicts = append(rep.Verdicts, verdict)
-	}
-
-	// Image-wide root reconstruction, as in AuditImage: the root register
-	// must be derivable from the persisted counter lines alone.
-	rebuilt, err := bmt.New(eng, mc.Tree().Height())
-	if err != nil {
-		return nil, fmt.Errorf("recovery: replay tree: %w", err)
-	}
-	replay := make([]uint64, 0, len(pageList))
-	for _, page := range pageList {
-		if _, ok := mc.Counters().Peek(page); ok {
-			replay = append(replay, page)
-		}
-	}
-	var lineBuf []byte
-	rebuilt.UpdateBatch(replay, func(page uint64) []byte {
-		line, _ := mc.Counters().Peek(page)
-		lineBuf = line.AppendBytes(lineBuf[:0])
-		return lineBuf
-	})
-	if rebuilt.Root() != mc.Tree().Root() {
-		rep.RootConsistent = false
 	}
 	return rep, nil
 }

@@ -184,6 +184,14 @@ go test -short -race -run 'TestFaultSweep|TestNested' ./internal/recovery/ ./int
 go build -o "$tmp/secpb-heal" ./cmd/secpb-heal
 "$tmp/secpb-heal" -schemes all -bench gcc -ops 1500 -faultrate 0.05 -budget 3 \
     -seed 42 -out "$tmp/heal-matrix.json"
+# The heal grid must be identical to the checked-in golden: triage's
+# per-block classes, the boot-loop resume and the differential check may
+# not move a single verdict or counter.
+if ! diff -q results/heal-matrix-seed42.json "$tmp/heal-matrix.json"; then
+    echo "ERROR: heal grid differs from results/heal-matrix-seed42.json" >&2
+    exit 1
+fi
+echo "heal grid identical to the checked-in seed-42 golden"
 
 # SPB2 trace-format gate: the encoder's bytes for a fixed zoo trace must
 # match the committed digest, and gen -> dump -> asm must reproduce them
